@@ -185,7 +185,6 @@ impl Default for Config {
                 // core — loader/preprocess invariants.
                 "three partitions",
                 "in-memory preprocessing performs no I/O",
-                "in-memory partitioned preprocessing performs no I/O",
                 "failed reap always parks an error",
                 "set on previous iteration",
                 "dataset generation succeeds",

@@ -29,11 +29,11 @@ fn bench_preprocess(c: &mut Criterion) {
     let mut group = c.benchmark_group("preprocess");
     group.sample_size(10);
     group.bench_function("sym-norm-3-hops", |b| {
-        let prep = Preprocessor::new(vec![Operator::SymNorm], 3);
+        let prep = Preprocessor::new(vec![Operator::SymNorm], 3).with_num_partitions(1);
         b.iter(|| black_box(prep.run(&data)));
     });
     group.bench_function("ppr-3-hops", |b| {
-        let prep = Preprocessor::new(vec![Operator::Ppr { alpha: 0.15 }], 3);
+        let prep = Preprocessor::new(vec![Operator::Ppr { alpha: 0.15 }], 3).with_num_partitions(1);
         b.iter(|| black_box(prep.run(&data)));
     });
     group.finish();
@@ -47,10 +47,14 @@ fn bench_preprocess_k2_r3(c: &mut Criterion) {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.25), 0)
         .expect("generation succeeds");
     let num_shards = ppgnn_tensor::pool().num_threads().max(2);
+    // `PPGNN_NUM_PARTITIONS` applies to every run, so the whole-graph
+    // baselines pin P = 1 to stay on the shard scheduler.
     let sharded = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3)
+        .with_num_partitions(1)
         .with_num_shards(num_shards);
-    let sequential =
-        Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3).with_num_shards(1);
+    let sequential = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3)
+        .with_num_partitions(1)
+        .with_num_shards(1);
     let num_partitions = knobs::usize_value(knobs::NUM_PARTITIONS).unwrap_or(2);
     let partitioned = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3)
         .with_num_partitions(num_partitions);
@@ -63,7 +67,7 @@ fn bench_preprocess_k2_r3(c: &mut Criterion) {
         b.iter(|| black_box(sequential.run(&data)));
     });
     group.bench_function("pokec-k2-r3-partitioned", |b| {
-        b.iter(|| black_box(partitioned.run_partitioned(&data)));
+        b.iter(|| black_box(partitioned.run(&data)));
     });
     group.finish();
 
@@ -110,17 +114,8 @@ fn write_preprop_artifact(
     let (sequential_seconds, _) = best_of(sequential);
     let (sharded_seconds, out) = best_of(sharded);
     // The partitioned pipeline (ghost-row exchange over disjoint node
-    // partitions) measured through its own entry point.
-    let best_partitioned = |prep: &Preprocessor| {
-        let mut seconds = f64::MAX;
-        let mut run = prep.run_partitioned(data); // warm-up
-        for _ in 0..reps {
-            run = prep.run_partitioned(data);
-            seconds = seconds.min(run.preprocess_seconds);
-        }
-        (seconds, run)
-    };
-    let (partitioned_seconds, part_out) = best_partitioned(partitioned);
+    // partitions), selected by its pinned partition count.
+    let (partitioned_seconds, part_out) = best_of(partitioned);
     // One extra instrumented rep (outside the timed best-of runs) so the
     // artifact carries the pipeline's counter/histogram readout.
     let telemetry = {

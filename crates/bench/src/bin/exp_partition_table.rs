@@ -18,7 +18,9 @@ fn main() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(HARNESS_SCALE), 42)
         .expect("generation succeeds");
     let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3);
-    let reference = prep.run(&data);
+    // Pinned to P = 1: `PPGNN_NUM_PARTITIONS` reaches every run, and this
+    // one is the whole-graph baseline.
+    let reference = prep.clone().with_num_partitions(1).run(&data);
 
     // Clamped through the registry like every other consumer — the
     // pre-registry read here accepted any usize, including 0.
@@ -32,7 +34,7 @@ fn main() {
         reference.train.len()
     );
 
-    let partitioners: [&dyn Partitioner; 2] = [&RangeCutPartitioner, &BfsGrowPartitioner];
+    let partitioners: [&'static dyn Partitioner; 2] = [&RangeCutPartitioner, &BfsGrowPartitioner];
     for partitioner in partitioners {
         for &parts in &part_counts {
             let dir = std::env::temp_dir().join(format!(
@@ -44,14 +46,8 @@ fn main() {
             let (out, _store) = prep
                 .clone()
                 .with_num_partitions(parts)
-                .run_with_sharded_store_using(
-                    &data,
-                    partitioner,
-                    &dir,
-                    "pokec-sim",
-                    256,
-                    ppgnn_tensor::pool(),
-                )
+                .with_partitioner(partitioner)
+                .run_with_sharded_store(&data, &dir, "pokec-sim", 256)
                 .expect("partitioned preprocessing succeeds");
             println!(
                 "### {} @ P={parts} — {:.3}s ({:.2}x vs whole-graph), {} ghost rows/hop\n",

@@ -5,23 +5,25 @@
 //! inherited from a generic framework loader:
 //!
 //! * [`preprocess`] — the one-time feature pre-propagation of Eq. 2
-//!   (`S_k = {X, B_k X, …, B_k^R X}`), shard-scheduled: node-range
-//!   shard×operator tasks overlap operator passes on the worker pool, and
-//!   finished hops persist through an async double-buffered writer; with
+//!   (`S_k = {X, B_k X, …, B_k^R X}`) through one driver, with
 //!   labeled-subset retention (the papers100M 70× input shrink) and
-//!   input-expansion accounting (Section 3.4). The partition-parallel
-//!   pipeline (`run_partitioned` / `run_with_sharded_store`) cuts the
-//!   graph into disjoint node partitions, diffuses with per-hop ghost-row
-//!   exchange (`ppgnn-partition`), and writes one feature store per
-//!   partition — bit-identical results at any partition count;
+//!   input-expansion accounting (Section 3.4). The partition count picks
+//!   the engine: at `P = 1` node-range shard×operator tasks overlap
+//!   operator passes on the worker pool; at `P > 1` the graph is cut into
+//!   disjoint node partitions diffused with per-hop ghost-row exchange
+//!   (`ppgnn-partition`) — bit-identical results at any `P`. The entry
+//!   point picks the sink: in memory (`run`), one feature store
+//!   (`run_with_store`), or one store per partition
+//!   (`run_with_sharded_store`), each fed through async writers so hop
+//!   `r + 1` diffusion overlaps hop `r` I/O;
 //! * [`loader`] — the four data-loader generations of Section 4, all
 //!   yielding *identical* batch streams for a fixed seed (a property the
 //!   integration tests pin down):
 //!   baseline per-row assembly → fused gather → threaded double-buffer
-//!   prefetching → chunk reshuffling, plus the storage-backed chunk
-//!   loaders of Section 4.3 (single-store and sharded-store) — and the
-//!   generations compose: any storage loader can run behind the
-//!   double-buffer producer thread ([`loader::BatchSource`]);
+//!   prefetching → chunk reshuffling, plus the one storage-backed chunk
+//!   loader of Section 4.3 over a single or a sharded store — and the
+//!   generations compose: the double-buffer producer thread runs any
+//!   [`loader::BatchSource`], in-memory or storage-backed;
 //! * [`trainer`] — SGD-RR / SGD-CR training loops with per-phase timing
 //!   (the functional-plane source of Figure 5) and convergence tracking
 //!   (Figures 3/10/13);

@@ -1,19 +1,23 @@
 use std::sync::Arc;
 
+use ppgnn_dataio::DataIoError;
 use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::loader::{permutation, Loader, LoaderCounters, PpBatch};
+use crate::loader::{permutation, BatchSource, Loader, LoaderCounters, PpBatch};
 use crate::preprocess::PrepropFeatures;
 
 /// Generation 1: efficient batch assembly (first half of Section 4.1).
 ///
-/// One fused index-gather **per hop per batch** into a pre-allocated
-/// staging buffer (the pinned-tensor analog), instead of one copy per row.
-/// The counter difference against [`crate::loader::BaselineLoader`] —
+/// One fused index-gather **per hop per batch**, straight into the
+/// batch's own hop matrices, instead of one copy per row. The counter
+/// difference against [`crate::loader::BaselineLoader`] —
 /// `hops + 1` ops per batch versus `batch_size × (hops + 1)` — is exactly
 /// the kernel-launch saving the paper measures as a 3.3× speedup.
+///
+/// It is also the in-memory [`BatchSource`] that
+/// [`crate::loader::DoubleBufferLoader::new`] runs on its producer thread.
 #[derive(Debug)]
 pub struct FusedGatherLoader {
     data: Arc<PrepropFeatures>,
@@ -21,8 +25,6 @@ pub struct FusedGatherLoader {
     rng: StdRng,
     order: Vec<usize>,
     cursor: usize,
-    /// Reused staging buffers, one per hop (resized for a partial tail batch).
-    staging: Vec<Matrix>,
     counters: LoaderCounters,
 }
 
@@ -35,19 +37,12 @@ impl FusedGatherLoader {
     pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(!data.is_empty(), "cannot iterate an empty partition");
-        let f = data.hops[0].cols();
-        let staging = data
-            .hops
-            .iter()
-            .map(|_| Matrix::zeros(batch_size, f))
-            .collect();
         FusedGatherLoader {
             data,
             batch_size,
             rng: StdRng::seed_from_u64(seed),
             order: Vec::new(),
             cursor: 0,
-            staging,
             counters: LoaderCounters::default(),
         }
     }
@@ -69,14 +64,12 @@ impl Loader for FusedGatherLoader {
 
         let f = self.data.hops[0].cols();
         let mut hops = Vec::with_capacity(self.data.hops.len());
-        for (src, stage) in self.data.hops.iter().zip(self.staging.iter_mut()) {
-            if stage.rows() != indices.len() {
-                *stage = Matrix::zeros(indices.len(), f);
-            }
-            src.gather_rows_into(&indices, stage);
+        for src in &self.data.hops {
+            let mut hop = Matrix::zeros(indices.len(), f);
+            src.gather_rows_into(&indices, &mut hop);
             self.counters.gather_ops += 1;
             self.counters.bytes_assembled += (indices.len() * f * 4) as u64;
-            hops.push(stage.clone());
+            hops.push(hop);
         }
         let labels = indices.iter().map(|&i| self.data.labels[i]).collect();
         self.counters.batches += 1;
@@ -97,6 +90,24 @@ impl Loader for FusedGatherLoader {
 
     fn name(&self) -> &'static str {
         "fused-gather"
+    }
+}
+
+impl BatchSource for FusedGatherLoader {
+    fn begin_epoch(&mut self) {
+        Loader::start_epoch(self)
+    }
+
+    fn try_next(&mut self) -> Result<Option<PpBatch>, DataIoError> {
+        Ok(Loader::next_batch(self))
+    }
+
+    fn batches_per_epoch(&self) -> usize {
+        Loader::num_batches(self)
+    }
+
+    fn source_counters(&self) -> LoaderCounters {
+        Loader::counters(self)
     }
 }
 

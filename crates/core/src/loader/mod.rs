@@ -9,15 +9,21 @@
 //! | Generation | Module | Mechanism |
 //! |---|---|---|
 //! | 0 baseline | [`BaselineLoader`] | one copy **per row** (PyTorch-DataLoader behaviour) |
-//! | 1 fused | [`FusedGatherLoader`] | one fused index op per batch into a reused staging buffer |
+//! | 1 fused | [`FusedGatherLoader`] | one fused index op per hop per batch, straight into the batch |
 //! | 2 prefetch | [`DoubleBufferLoader`] | producer thread + bounded(2) channel (the double buffer) |
 //! | 3 chunked | [`ChunkReshuffleLoader`] | chunk-level shuffle, contiguous chunk copies |
-//! | 3s storage | [`StorageChunkLoader`] | chunk reads from the on-disk feature store |
-//! | 3p sharded | [`ShardedStorageChunkLoader`] | chunk reads fanned out across partition stores |
+//! | 3s storage | [`ChunkLoader`] | (partition, chunk) reads from an on-disk [`ChunkStore`] |
 //!
-//! Generations compose: [`DoubleBufferLoader::over_source`] runs any
-//! [`BatchSource`] (the storage-backed chunk loaders implement it) behind
-//! the gen-2 producer thread, so chunk I/O overlaps training compute.
+//! The storage loader is one implementation over both store layouts:
+//! [`StorageChunkLoader`] reads a single feature store and
+//! [`ShardedStorageChunkLoader`] fans reads out across partition stores;
+//! at one partition their streams are identical.
+//!
+//! Generations compose: [`DoubleBufferLoader`] runs a [`BatchSource`]
+//! behind the gen-2 producer thread — the fused in-memory gather
+//! ([`DoubleBufferLoader::new`]) or any other source
+//! ([`DoubleBufferLoader::over_source`]), such as the storage chunk
+//! loader, so chunk I/O overlaps training compute.
 
 mod baseline;
 mod chunk;
@@ -30,8 +36,7 @@ pub use baseline::BaselineLoader;
 pub use chunk::ChunkReshuffleLoader;
 pub use fused::FusedGatherLoader;
 pub use prefetch::DoubleBufferLoader;
-pub use sharded::ShardedStorageChunkLoader;
-pub use storage::StorageChunkLoader;
+pub use storage::{ChunkLoader, ChunkStore, ShardedStorageChunkLoader, StorageChunkLoader};
 
 use ppgnn_dataio::DataIoError;
 
@@ -139,87 +144,6 @@ pub trait BatchSource: Send + std::fmt::Debug {
 
     /// Accumulated work counters.
     fn source_counters(&self) -> LoaderCounters;
-}
-
-/// One read-but-not-fully-emitted chunk: its rows' global ids (in stored
-/// order) and one matrix per hop.
-#[derive(Debug)]
-pub(crate) struct PendingChunk {
-    pub(crate) rows: Vec<usize>,
-    pub(crate) hops: Vec<Matrix>,
-}
-
-/// Carries rows across batch boundaries for the chunk-reading storage
-/// loaders, so `batch_size` need not divide `chunk_size`: read chunks sit
-/// untouched in a deque and a row cursor walks the front chunk, so
-/// assembling a batch copies exactly `batch_size` rows — never the whole
-/// pending buffer (the O(pending²) re-stacking bug class this machinery
-/// replaced). Shared by [`StorageChunkLoader`] and
-/// [`ShardedStorageChunkLoader`] so a fix lands in both.
-#[derive(Debug, Default)]
-pub(crate) struct ChunkBatcher {
-    pending: std::collections::VecDeque<PendingChunk>,
-    /// Rows of `pending.front()` already emitted.
-    cursor: usize,
-    /// Total unemitted rows across `pending` (accounting for `cursor`).
-    pending_rows: usize,
-}
-
-impl ChunkBatcher {
-    /// Drops all carried rows (a new epoch).
-    pub(crate) fn reset(&mut self) {
-        self.pending.clear();
-        self.cursor = 0;
-        self.pending_rows = 0;
-    }
-
-    /// Unemitted rows currently buffered.
-    pub(crate) fn pending_rows(&self) -> usize {
-        self.pending_rows
-    }
-
-    /// Buffers one freshly read chunk.
-    pub(crate) fn push(&mut self, chunk: PendingChunk) {
-        self.pending_rows += chunk.rows.len();
-        self.pending.push_back(chunk);
-    }
-
-    /// Assembles exactly `take` rows (`take <= pending_rows()`) into one
-    /// `take × cols` matrix per hop plus the rows' global indices, with
-    /// one contiguous copy per (hop, chunk segment).
-    pub(crate) fn assemble(
-        &mut self,
-        take: usize,
-        num_hops: usize,
-        cols: usize,
-    ) -> (Vec<Matrix>, Vec<usize>) {
-        debug_assert!(
-            take <= self.pending_rows,
-            "cannot assemble more than buffered"
-        );
-        let mut hops: Vec<Matrix> = (0..num_hops).map(|_| Matrix::zeros(take, cols)).collect();
-        let mut indices = Vec::with_capacity(take);
-        let mut filled = 0;
-        while filled < take {
-            let chunk = self.pending.front().expect("pending_rows > 0");
-            let avail = chunk.rows.len() - self.cursor;
-            let run = avail.min(take - filled);
-            for (out, src) in hops.iter_mut().zip(&chunk.hops) {
-                out.as_mut_slice()[filled * cols..(filled + run) * cols].copy_from_slice(
-                    &src.as_slice()[self.cursor * cols..(self.cursor + run) * cols],
-                );
-            }
-            indices.extend_from_slice(&chunk.rows[self.cursor..self.cursor + run]);
-            filled += run;
-            self.cursor += run;
-            if self.cursor == chunk.rows.len() {
-                self.pending.pop_front();
-                self.cursor = 0;
-            }
-        }
-        self.pending_rows -= take;
-        (hops, indices)
-    }
 }
 
 /// Fisher–Yates permutation of `0..n` — shared by every loader so equal

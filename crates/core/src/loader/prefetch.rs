@@ -3,11 +3,8 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver};
 use ppgnn_dataio::DataIoError;
-use ppgnn_tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::loader::{permutation, BatchSource, Loader, LoaderCounters, PpBatch};
+use crate::loader::{BatchSource, FusedGatherLoader, Loader, LoaderCounters, PpBatch};
 use crate::preprocess::PrepropFeatures;
 
 /// Generation 2: double-buffer prefetching (second half of Section 4.1).
@@ -19,17 +16,19 @@ use crate::preprocess::PrepropFeatures;
 /// real hardware the two buffers live in GPU memory and the channel is a
 /// pair of CUDA events.
 ///
-/// The producer comes in two flavours:
+/// The producer drives one [`BatchSource`]:
 ///
-/// * [`DoubleBufferLoader::new`] — the in-memory assembler (fused gathers
-///   over a resident [`PrepropFeatures`], exactly like generation 1);
+/// * [`DoubleBufferLoader::new`] — the in-memory fused gather (a
+///   [`FusedGatherLoader`] over a resident [`PrepropFeatures`], exactly
+///   generation 1's stream);
 /// * [`DoubleBufferLoader::over_source`] — **any [`BatchSource`]**, which
 ///   is how gen-2 pipelining composes with gen-3 storage I/O: a
-///   [`crate::loader::StorageChunkLoader`] or
-///   [`crate::loader::ShardedStorageChunkLoader`] runs on the producer
-///   thread, so chunk reads from the (sharded) feature store overlap
-///   training compute. The source crosses into the producer thread each
-///   epoch and is handed back when the epoch ends.
+///   [`crate::loader::ChunkLoader`] runs on the producer thread, so chunk
+///   reads from the (sharded) feature store overlap training compute.
+///
+/// The source crosses into the producer thread each epoch and is handed
+/// back when the epoch ends; the loader's counters are the source's
+/// cumulative counters.
 ///
 /// Producer-side failures are not silent: the channel carries
 /// `Result<PpBatch, DataIoError>` (storage-backed producers surface I/O
@@ -38,12 +37,16 @@ use crate::preprocess::PrepropFeatures;
 /// [`DoubleBufferLoader::try_next_batch`] reports it, the infallible
 /// [`Loader`] API ends the epoch, and [`Loader::take_error`] hands the
 /// message to the trainer — the same contract as
-/// [`crate::loader::StorageChunkLoader`].
+/// [`crate::loader::ChunkLoader`].
 #[derive(Debug)]
 pub struct DoubleBufferLoader {
-    producer: ProducerKind,
+    /// The batch source, `None` while an epoch is running (the source is
+    /// owned by the producer thread) or after a producer panic lost it.
+    source: Option<Box<dyn BatchSource>>,
+    num_batches: usize,
     rx: Option<Receiver<Result<PpBatch, DataIoError>>>,
-    worker: Option<JoinHandle<EpochEnd>>,
+    /// The producer thread, which hands the source back when it ends.
+    worker: Option<JoinHandle<Box<dyn BatchSource>>>,
     counters: LoaderCounters,
     /// First producer-side error of the epoch, parked for
     /// [`Loader::take_error`].
@@ -54,33 +57,6 @@ pub struct DoubleBufferLoader {
     failed: bool,
 }
 
-#[derive(Debug)]
-enum ProducerKind {
-    /// In-memory batch assembly (fused gathers) on the producer thread.
-    Memory {
-        data: Arc<PrepropFeatures>,
-        batch_size: usize,
-        rng: StdRng,
-    },
-    /// A fallible batch source driven on the producer thread. `None`
-    /// while an epoch is running (the source is owned by the thread) or
-    /// after a producer panic lost it.
-    Source {
-        source: Option<Box<dyn BatchSource>>,
-        num_batches: usize,
-    },
-}
-
-/// What the producer thread hands back when an epoch ends.
-#[derive(Debug)]
-enum EpochEnd {
-    /// Per-epoch counter deltas of the in-memory assembler.
-    Memory(LoaderCounters),
-    /// The source, returned for the next epoch (its counters are
-    /// cumulative).
-    Source(Box<dyn BatchSource>),
-}
-
 impl DoubleBufferLoader {
     /// Creates a double-buffered loader over in-memory features.
     ///
@@ -88,13 +64,7 @@ impl DoubleBufferLoader {
     ///
     /// Panics if `batch_size == 0` or `data` is empty.
     pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert!(!data.is_empty(), "cannot iterate an empty partition");
-        Self::with_producer(ProducerKind::Memory {
-            data,
-            batch_size,
-            rng: StdRng::seed_from_u64(seed),
-        })
+        Self::over_source(Box::new(FusedGatherLoader::new(data, batch_size, seed)))
     }
 
     /// Creates a double-buffered loader that runs `source` behind the
@@ -102,16 +72,9 @@ impl DoubleBufferLoader {
     /// source's own epoch order and batch geometry are preserved; this
     /// wrapper only moves the reads off the training thread.
     pub fn over_source(source: Box<dyn BatchSource>) -> Self {
-        let num_batches = source.batches_per_epoch();
-        Self::with_producer(ProducerKind::Source {
-            source: Some(source),
-            num_batches,
-        })
-    }
-
-    fn with_producer(producer: ProducerKind) -> Self {
         DoubleBufferLoader {
-            producer,
+            num_batches: source.batches_per_epoch(),
+            source: Some(source),
             rx: None,
             worker: None,
             counters: LoaderCounters::default(),
@@ -120,28 +83,26 @@ impl DoubleBufferLoader {
         }
     }
 
+    /// Latches `e` as the epoch's failure (keeping an earlier one).
+    fn fail(&mut self, e: DataIoError) -> DataIoError {
+        self.failed = true;
+        self.error.get_or_insert(e).clone()
+    }
+
     fn reap_worker(&mut self) {
         if let Some(handle) = self.worker.take() {
             match handle.join() {
-                Ok(EpochEnd::Memory(c)) => {
-                    self.counters.gather_ops += c.gather_ops;
-                    self.counters.bytes_assembled += c.bytes_assembled;
-                    self.counters.batches += c.batches;
-                }
-                Ok(EpochEnd::Source(src)) => {
+                Ok(src) => {
                     self.counters = src.source_counters();
-                    if let ProducerKind::Source { source, .. } = &mut self.producer {
-                        *source = Some(src);
-                    }
+                    self.source = Some(src);
                 }
                 Err(_) => {
                     // The producer died without finishing its epoch; a
                     // silent early end here would truncate the epoch the
                     // consumer believes it completed.
-                    self.failed = true;
-                    self.error.get_or_insert_with(|| {
-                        DataIoError::Io("batch producer thread panicked mid-epoch".into())
-                    });
+                    self.fail(DataIoError::Io(
+                        "batch producer thread panicked mid-epoch".into(),
+                    ));
                 }
             }
         }
@@ -154,8 +115,9 @@ impl DoubleBufferLoader {
     ///
     /// # Errors
     ///
-    /// Propagates [`DataIoError`] sent by the producer, or reports a
-    /// producer thread that died before finishing the epoch.
+    /// Propagates [`DataIoError`] sent by the producer, reports a producer
+    /// thread that died before finishing the epoch, and fails every epoch
+    /// after a producer panic lost the source.
     pub fn try_next_batch(&mut self) -> Result<Option<PpBatch>, DataIoError> {
         if self.failed {
             return Err(self.error.clone().unwrap_or_else(|| {
@@ -163,14 +125,18 @@ impl DoubleBufferLoader {
             }));
         }
         let Some(rx) = self.rx.as_ref() else {
+            if self.source.is_none() {
+                return Err(self.fail(DataIoError::Io(
+                    "batch source lost to a producer panic; recreate the loader".into(),
+                )));
+            }
             return Ok(None);
         };
         match rx.recv() {
             Ok(Ok(batch)) => Ok(Some(batch)),
             Ok(Err(e)) => {
                 self.rx = None;
-                self.failed = true;
-                self.error = Some(e.clone());
+                let e = self.fail(e);
                 self.reap_worker();
                 Err(e)
             }
@@ -195,89 +161,39 @@ impl DoubleBufferLoader {
 impl Loader for DoubleBufferLoader {
     fn start_epoch(&mut self) {
         // Drain any unfinished previous epoch first (ignoring its verdict:
-        // the epoch is being abandoned either way). For source producers
-        // this also recovers the source from the finished thread.
+        // the epoch is being abandoned either way). This also recovers the
+        // source from the finished thread.
         self.rx = None;
         self.reap_worker();
         self.error = None;
         self.failed = false;
+        // A producer panic lost the source: the epoch has nothing to run,
+        // and `try_next_batch` reports why.
+        let Some(mut source) = self.source.take() else {
+            return;
+        };
 
         // Capacity 2 = the double buffer: the producer runs at most two
         // batches ahead of the consumer.
         let (tx, rx) = bounded::<Result<PpBatch, DataIoError>>(2);
-        let handle = match &mut self.producer {
-            ProducerKind::Memory {
-                data,
-                batch_size,
-                rng,
-            } => {
-                let order = permutation(data.len(), rng);
-                let data = Arc::clone(data);
-                let batch_size = *batch_size;
-                std::thread::spawn(move || {
-                    let mut counters = LoaderCounters::default();
-                    let f = data.hops[0].cols();
-                    let mut cursor = 0;
-                    while cursor < order.len() {
-                        let end = (cursor + batch_size).min(order.len());
-                        let indices = order[cursor..end].to_vec();
-                        cursor = end;
-                        let mut hops = Vec::with_capacity(data.hops.len());
-                        for src in &data.hops {
-                            let mut stage = Matrix::zeros(indices.len(), f);
-                            src.gather_rows_into(&indices, &mut stage);
-                            counters.gather_ops += 1;
-                            counters.bytes_assembled += (indices.len() * f * 4) as u64;
-                            hops.push(stage);
-                        }
-                        let labels = indices.iter().map(|&i| data.labels[i]).collect();
-                        counters.batches += 1;
-                        if tx
-                            .send(Ok(PpBatch {
-                                indices,
-                                hops,
-                                labels,
-                            }))
-                            .is_err()
-                        {
+        let handle = std::thread::spawn(move || {
+            source.begin_epoch();
+            loop {
+                match source.try_next() {
+                    Ok(Some(batch)) => {
+                        if tx.send(Ok(batch)).is_err() {
                             break; // consumer dropped the epoch early
                         }
                     }
-                    EpochEnd::Memory(counters)
-                })
-            }
-            ProducerKind::Source { source, .. } => {
-                let Some(mut source) = source.take() else {
-                    // A producer panic lost the source; the loader cannot
-                    // run further epochs.
-                    self.failed = true;
-                    self.error.get_or_insert_with(|| {
-                        DataIoError::Io(
-                            "batch source lost to a producer panic; recreate the loader".into(),
-                        )
-                    });
-                    return;
-                };
-                std::thread::spawn(move || {
-                    source.begin_epoch();
-                    loop {
-                        match source.try_next() {
-                            Ok(Some(batch)) => {
-                                if tx.send(Ok(batch)).is_err() {
-                                    break; // consumer dropped the epoch early
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                break;
-                            }
-                        }
+                    Ok(None) => break,
+                    Err(e) => {
+                        let _ = tx.send(Err(e));
+                        break;
                     }
-                    EpochEnd::Source(source)
-                })
+                }
             }
-        };
+            source
+        });
         self.rx = Some(rx);
         self.worker = Some(handle);
     }
@@ -291,12 +207,7 @@ impl Loader for DoubleBufferLoader {
     }
 
     fn num_batches(&self) -> usize {
-        match &self.producer {
-            ProducerKind::Memory {
-                data, batch_size, ..
-            } => data.len().div_ceil(*batch_size),
-            ProducerKind::Source { num_batches, .. } => *num_batches,
-        }
+        self.num_batches
     }
 
     fn counters(&self) -> LoaderCounters {
@@ -323,8 +234,9 @@ impl Drop for DoubleBufferLoader {
 mod tests {
     use super::*;
     use crate::loader::tests_support::tiny_features;
-    use crate::loader::{FusedGatherLoader, StorageChunkLoader};
+    use crate::loader::StorageChunkLoader;
     use ppgnn_dataio::{AccessPath, FeatureStoreWriter, StoreMeta};
+    use ppgnn_tensor::Matrix;
 
     #[test]
     fn identical_stream_to_fused_for_equal_seed() {
@@ -432,8 +344,8 @@ mod tests {
         assert!(l.error.is_some() || l.failed);
         l.start_epoch();
         assert!(l.take_error().is_none(), "start_epoch resets the error");
-        // The fresh epoch fails again (same corrupt data), proving the
-        // reset re-arms detection rather than suppressing it.
+        // The fresh epoch fails again (the panic lost the source), proving
+        // the reset re-arms detection rather than suppressing it.
         while l.next_batch().is_some() {}
         assert!(l.take_error().is_some());
     }

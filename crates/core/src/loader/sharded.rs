@@ -1,211 +1,48 @@
-use ppgnn_dataio::{AccessPath, DataIoError, ShardedFeatureStore};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ppgnn_dataio::{AccessPath, DataIoError, IoCounters, ShardedFeatureStore, StoreMeta};
+use ppgnn_tensor::Matrix;
 
-use crate::loader::{
-    permutation, BatchSource, ChunkBatcher, Loader, LoaderCounters, PendingChunk, PpBatch,
-};
+use crate::loader::storage::{sealed, ChunkStore};
 
-/// Generation 3p: chunk-reshuffled loading from a **sharded** feature
-/// store — the serving side of partition-parallel preprocessing.
-///
-/// The work list is every `(partition, chunk)` pair across the partition
-/// stores, shuffled each epoch; each unit of work is one sequential
-/// [`ShardedFeatureStore::read_chunk_all_hops`] against a single partition
-/// store, so training-time I/O fans out over the per-partition files
-/// instead of serializing on one. Batch `indices` are **global** training
-/// rows (resolved through the store's row mapping), so the batch stream is
-/// drop-in for the trainer: same labels, same feature bytes per row as the
-/// single-store [`crate::loader::StorageChunkLoader`] — and with a single
-/// partition, exactly the same stream for equal seeds.
-///
-/// Error handling follows the storage loader's contract: the first I/O
-/// failure latches the epoch, [`ShardedStorageChunkLoader::try_next_batch`]
-/// reports it, the infallible [`Loader`] API ends the epoch, and
-/// [`Loader::take_error`] hands the message to the trainer.
-#[derive(Debug)]
-pub struct ShardedStorageChunkLoader {
-    store: ShardedFeatureStore,
-    labels: Vec<u32>,
-    batch_size: usize,
-    path: AccessPath,
-    rng: StdRng,
-    /// Shuffled `(partition, chunk)` work list for the current epoch.
-    chunk_order: Vec<(usize, usize)>,
-    next_chunk: usize,
-    /// Chunks read but not fully emitted, in emit order.
-    batcher: ChunkBatcher,
-    error: Option<DataIoError>,
-    failed: bool,
-    counters: LoaderCounters,
-}
+impl sealed::Sealed for ShardedFeatureStore {}
 
-impl ShardedStorageChunkLoader {
-    /// Creates a sharded storage loader over `store`.
-    ///
-    /// `labels[i]` must be the label of **global** training row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0` or `labels.len()` disagrees with the
-    /// store's total row count.
-    pub fn new(
-        store: ShardedFeatureStore,
-        labels: Vec<u32>,
-        batch_size: usize,
+/// A sharded store serves each `(partition, chunk)` pair from its
+/// partition store, mapped back to global training rows.
+impl ChunkStore for ShardedFeatureStore {
+    const LOADER_NAME: &'static str = "sharded-storage-chunk";
+
+    fn meta(&self) -> &StoreMeta {
+        ShardedFeatureStore::meta(self)
+    }
+
+    fn num_partitions(&self) -> usize {
+        ShardedFeatureStore::num_partitions(self)
+    }
+
+    fn num_chunks(&self, p: usize) -> usize {
+        ShardedFeatureStore::num_chunks(self, p)
+    }
+
+    fn read_chunk(
+        &mut self,
+        p: usize,
+        chunk: usize,
         path: AccessPath,
-        seed: u64,
-    ) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert_eq!(
-            labels.len(),
-            store.meta().rows,
-            "one label per stored (global) row required"
-        );
-        ShardedStorageChunkLoader {
-            store,
-            labels,
-            batch_size,
-            path,
-            rng: StdRng::seed_from_u64(seed),
-            chunk_order: Vec::new(),
-            next_chunk: 0,
-            batcher: ChunkBatcher::default(),
-            error: None,
-            failed: false,
-            counters: LoaderCounters::default(),
-        }
+    ) -> Result<(Vec<usize>, Vec<Matrix>), DataIoError> {
+        let rows = self.chunk_global_rows(p, chunk).to_vec();
+        let hops = self.read_chunk_all_hops(p, chunk, path)?;
+        Ok((rows, hops))
     }
 
-    /// Aggregated I/O counters across all partition stores.
-    pub fn io_counters(&self) -> ppgnn_dataio::IoCounters {
-        self.store.counters()
-    }
-
-    /// Number of partition stores the loader fans reads across.
-    pub fn num_partitions(&self) -> usize {
-        self.store.num_partitions()
-    }
-
-    fn refill(&mut self) -> Result<bool, DataIoError> {
-        if self.next_chunk >= self.chunk_order.len() {
-            return Ok(false);
-        }
-        let (p, chunk_id) = self.chunk_order[self.next_chunk];
-        self.next_chunk += 1;
-        let rows = self.store.chunk_global_rows(p, chunk_id).to_vec();
-        let hops = self.store.read_chunk_all_hops(p, chunk_id, self.path)?;
-        self.counters.gather_ops += hops.len() as u64;
-        self.counters.bytes_assembled += hops.iter().map(|m| m.size_bytes() as u64).sum::<u64>();
-        self.batcher.push(PendingChunk { rows, hops });
-        Ok(true)
-    }
-
-    /// Fallible batch path: `Ok(None)` ends the epoch, `Err` surfaces (and
-    /// latches) the first storage failure until [`Loader::start_epoch`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DataIoError`] from partition-store chunk reads.
-    pub fn try_next_batch(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        if self.failed {
-            return Err(self.error.clone().unwrap_or_else(|| {
-                DataIoError::Io("epoch already failed; start_epoch required".into())
-            }));
-        }
-        while self.batcher.pending_rows() < self.batch_size {
-            match self.refill() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(e) => {
-                    self.failed = true;
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-        if self.batcher.pending_rows() == 0 {
-            return Ok(None);
-        }
-        let take = self.batch_size.min(self.batcher.pending_rows());
-        let (hops, indices) =
-            self.batcher
-                .assemble(take, self.store.meta().num_hops, self.store.meta().cols);
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
-        self.counters.batches += 1;
-        Ok(Some(PpBatch {
-            indices,
-            hops,
-            labels,
-        }))
-    }
-}
-
-impl Loader for ShardedStorageChunkLoader {
-    fn start_epoch(&mut self) {
-        // (partition, chunk) pairs in canonical order, then one shared
-        // Fisher–Yates shuffle — with a single partition this reduces to
-        // exactly the StorageChunkLoader chunk order for equal seeds.
-        let pairs: Vec<(usize, usize)> = (0..self.store.num_partitions())
-            .flat_map(|p| (0..self.store.num_chunks(p)).map(move |c| (p, c)))
-            .collect();
-        self.chunk_order = permutation(pairs.len(), &mut self.rng)
-            .into_iter()
-            .map(|i| pairs[i])
-            .collect();
-        self.next_chunk = 0;
-        self.batcher.reset();
-        self.error = None;
-        self.failed = false;
-    }
-
-    fn next_batch(&mut self) -> Option<PpBatch> {
-        if self.failed {
-            return None;
-        }
-        self.try_next_batch().unwrap_or_default()
-    }
-
-    fn num_batches(&self) -> usize {
-        self.store.meta().rows.div_ceil(self.batch_size)
-    }
-
-    fn counters(&self) -> LoaderCounters {
-        self.counters
-    }
-
-    fn take_error(&mut self) -> Option<String> {
-        self.error.take().map(|e| e.to_string())
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded-storage-chunk"
-    }
-}
-
-impl BatchSource for ShardedStorageChunkLoader {
-    fn begin_epoch(&mut self) {
-        Loader::start_epoch(self)
-    }
-
-    fn try_next(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        ShardedStorageChunkLoader::try_next_batch(self)
-    }
-
-    fn batches_per_epoch(&self) -> usize {
-        Loader::num_batches(self)
-    }
-
-    fn source_counters(&self) -> LoaderCounters {
-        Loader::counters(self)
+    fn io_counters(&self) -> IoCounters {
+        self.counters()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppgnn_dataio::{ShardedStoreWriter, StoreMeta};
-    use ppgnn_tensor::Matrix;
+    use crate::loader::{Loader, ShardedStorageChunkLoader};
+    use ppgnn_dataio::ShardedStoreWriter;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -1,41 +1,119 @@
-use ppgnn_dataio::{AccessPath, DataIoError, FeatureStore};
+use std::collections::VecDeque;
+
+use ppgnn_dataio::{AccessPath, DataIoError, FeatureStore, IoCounters, StoreMeta};
+use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::loader::{
-    permutation, BatchSource, ChunkBatcher, Loader, LoaderCounters, PendingChunk, PpBatch,
-};
+use crate::loader::{permutation, BatchSource, Loader, LoaderCounters, PpBatch};
+
+pub(crate) mod sealed {
+    pub trait Sealed {}
+}
+
+/// An on-disk hop-feature store [`ChunkLoader`] can read: a single
+/// [`FeatureStore`] (one partition) or a
+/// [`ppgnn_dataio::ShardedFeatureStore`] (one store per graph partition).
+/// Sealed: the two layouts are the only implementations.
+pub trait ChunkStore: sealed::Sealed + Send + std::fmt::Debug {
+    /// Stable display name of a loader over this store.
+    const LOADER_NAME: &'static str;
+
+    /// Geometry of the logical store (rows are global training rows).
+    fn meta(&self) -> &StoreMeta;
+
+    /// Partition stores behind this handle (1 for a single store).
+    fn num_partitions(&self) -> usize;
+
+    /// Chunks in partition `p`.
+    fn num_chunks(&self, p: usize) -> usize;
+
+    /// Reads chunk `chunk` of partition `p` across every hop file — one
+    /// sequential request per hop — returning the global training rows it
+    /// holds, in stored order, and one matrix per hop.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DataIoError`] from the chunk reads.
+    fn read_chunk(
+        &mut self,
+        p: usize,
+        chunk: usize,
+        path: AccessPath,
+    ) -> Result<(Vec<usize>, Vec<Matrix>), DataIoError>;
+
+    /// I/O counters aggregated across the partition stores.
+    fn io_counters(&self) -> IoCounters;
+}
+
+impl sealed::Sealed for FeatureStore {}
+
+impl ChunkStore for FeatureStore {
+    const LOADER_NAME: &'static str = "storage-chunk";
+
+    fn meta(&self) -> &StoreMeta {
+        FeatureStore::meta(self)
+    }
+
+    fn num_partitions(&self) -> usize {
+        1
+    }
+
+    fn num_chunks(&self, _p: usize) -> usize {
+        self.meta().num_chunks()
+    }
+
+    fn read_chunk(
+        &mut self,
+        _p: usize,
+        chunk: usize,
+        path: AccessPath,
+    ) -> Result<(Vec<usize>, Vec<Matrix>), DataIoError> {
+        let start_row = chunk * self.meta().chunk_size;
+        let hops = self.read_chunk_all_hops(chunk, path)?;
+        Ok(((start_row..start_row + hops[0].rows()).collect(), hops))
+    }
+
+    fn io_counters(&self) -> IoCounters {
+        self.counters()
+    }
+}
 
 /// Generation 3s: chunk-reshuffled loading **directly from storage**
-/// (Section 4.3).
+/// (Section 4.3), over a single store or a partitioned one.
 ///
-/// Reads whole chunks from the on-disk [`FeatureStore`] in a shuffled chunk
-/// order — each chunk is one sequential request per hop file, the access
-/// pattern that keeps SSD throughput near its sequential ceiling. The
+/// The work list is every `(partition, chunk)` pair of the [`ChunkStore`],
+/// shuffled each epoch by one Fisher–Yates pass — with a single partition
+/// exactly the single-store chunk order. Each unit of work is one
+/// sequential request per hop file, the access pattern that keeps SSD
+/// throughput near its sequential ceiling; over a sharded store the reads
+/// fan out across the per-partition files instead of serializing on one.
+/// Batch `indices` are **global** training rows, so the stream is drop-in
+/// for the trainer whatever the layout: same labels and feature bytes per
+/// row, and at `P = 1` the same stream for equal seeds. The
 /// [`AccessPath`] selects the GPUDirect analog ([`AccessPath::Direct`]) or
 /// the conventional host bounce buffer.
 ///
 /// The loader carries rows across batch boundaries so `batch_size` need not
-/// divide `chunk_size`: read chunks sit untouched in the shared
-/// [`ChunkBatcher`] deque and a row cursor walks the front chunk, so
-/// assembling a batch copies exactly `batch_size` rows — never the whole
-/// pending buffer. (The previous implementation `vstack`ed every refill and
-/// re-sliced the remainder every batch: O(pending²) traffic when
-/// `chunk_size ≫ batch_size`.)
+/// divide `chunk_size`: read chunks sit untouched in a deque and a row
+/// cursor walks the front chunk, so assembling a batch copies exactly
+/// `batch_size` rows — never the whole pending buffer, so traffic stays
+/// linear even when `chunk_size ≫ batch_size`.
 ///
 /// I/O failures mid-epoch are surfaced through
-/// [`StorageChunkLoader::try_next_batch`]; the infallible [`Loader`] API
-/// ends the epoch and parks the error for [`Loader::take_error`], which the
-/// trainer checks after draining — a truncated store file fails the epoch
-/// cleanly instead of aborting the process.
+/// [`ChunkLoader::try_next_batch`]; the infallible [`Loader`] API ends the
+/// epoch and parks the error for [`Loader::take_error`], which the trainer
+/// checks after draining — a truncated store file fails the epoch cleanly
+/// instead of aborting the process.
 #[derive(Debug)]
-pub struct StorageChunkLoader {
-    store: FeatureStore,
+pub struct ChunkLoader<S> {
+    store: S,
     labels: Vec<u32>,
     batch_size: usize,
     path: AccessPath,
     rng: StdRng,
-    chunk_order: Vec<usize>,
+    /// Shuffled `(partition, chunk)` work list for the current epoch.
+    chunk_order: Vec<(usize, usize)>,
     next_chunk: usize,
     /// Chunks read but not fully emitted, in emit order.
     batcher: ChunkBatcher,
@@ -48,29 +126,30 @@ pub struct StorageChunkLoader {
     counters: LoaderCounters,
 }
 
-impl StorageChunkLoader {
+/// The chunk loader over one [`FeatureStore`].
+pub type StorageChunkLoader = ChunkLoader<FeatureStore>;
+
+/// The chunk loader over a [`ppgnn_dataio::ShardedFeatureStore`] — the
+/// serving side of partitioned preprocessing.
+pub type ShardedStorageChunkLoader = ChunkLoader<ppgnn_dataio::ShardedFeatureStore>;
+
+impl<S: ChunkStore> ChunkLoader<S> {
     /// Creates a storage-backed loader over `store`.
     ///
-    /// `labels[i]` must be the label of store row `i` (training order).
+    /// `labels[i]` must be the label of **global** training row `i`.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size == 0` or `labels.len()` disagrees with the
     /// store's row count.
-    pub fn new(
-        store: FeatureStore,
-        labels: Vec<u32>,
-        batch_size: usize,
-        path: AccessPath,
-        seed: u64,
-    ) -> Self {
+    pub fn new(store: S, labels: Vec<u32>, batch_size: usize, path: AccessPath, seed: u64) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         assert_eq!(
             labels.len(),
             store.meta().rows,
             "one label per stored row required"
         );
-        StorageChunkLoader {
+        ChunkLoader {
             store,
             labels,
             batch_size,
@@ -85,22 +164,25 @@ impl StorageChunkLoader {
         }
     }
 
-    /// I/O counters of the underlying store (sequential vs random reads).
-    pub fn io_counters(&self) -> ppgnn_dataio::IoCounters {
-        self.store.counters()
+    /// I/O counters of the underlying store(s) (sequential vs random
+    /// reads), aggregated across partition stores.
+    pub fn io_counters(&self) -> IoCounters {
+        self.store.io_counters()
+    }
+
+    /// Number of partition stores the loader fans reads across.
+    pub fn num_partitions(&self) -> usize {
+        self.store.num_partitions()
     }
 
     fn refill(&mut self) -> Result<bool, DataIoError> {
-        if self.next_chunk >= self.chunk_order.len() {
+        let Some(&(p, chunk)) = self.chunk_order.get(self.next_chunk) else {
             return Ok(false);
-        }
-        let chunk_id = self.chunk_order[self.next_chunk];
+        };
         self.next_chunk += 1;
-        let start_row = chunk_id * self.store.meta().chunk_size;
-        let hops = self.store.read_chunk_all_hops(chunk_id, self.path)?;
+        let (rows, hops) = self.store.read_chunk(p, chunk, self.path)?;
         self.counters.gather_ops += hops.len() as u64;
         self.counters.bytes_assembled += hops.iter().map(|m| m.size_bytes() as u64).sum::<u64>();
-        let rows = (start_row..start_row + hops[0].rows()).collect();
         self.batcher.push(PendingChunk { rows, hops });
         Ok(true)
     }
@@ -136,9 +218,8 @@ impl StorageChunkLoader {
             return Ok(None);
         }
         let take = self.batch_size.min(self.batcher.pending_rows());
-        let (hops, indices) =
-            self.batcher
-                .assemble(take, self.store.meta().num_hops, self.store.meta().cols);
+        let meta = self.store.meta();
+        let (hops, indices) = self.batcher.assemble(take, meta.num_hops, meta.cols);
         let labels = indices.iter().map(|&i| self.labels[i]).collect();
         self.counters.batches += 1;
         Ok(Some(PpBatch {
@@ -149,10 +230,18 @@ impl StorageChunkLoader {
     }
 }
 
-impl Loader for StorageChunkLoader {
+impl<S: ChunkStore> Loader for ChunkLoader<S> {
     fn start_epoch(&mut self) {
-        let num_chunks = self.store.meta().num_chunks();
-        self.chunk_order = permutation(num_chunks, &mut self.rng);
+        // (partition, chunk) pairs in canonical order, then one shared
+        // Fisher–Yates shuffle — with a single partition this is exactly
+        // a shuffle of the chunk ids.
+        let pairs: Vec<(usize, usize)> = (0..self.store.num_partitions())
+            .flat_map(|p| (0..self.store.num_chunks(p)).map(move |c| (p, c)))
+            .collect();
+        self.chunk_order = permutation(pairs.len(), &mut self.rng)
+            .into_iter()
+            .map(|i| pairs[i])
+            .collect();
         self.next_chunk = 0;
         self.batcher.reset();
         self.error = None;
@@ -180,17 +269,17 @@ impl Loader for StorageChunkLoader {
     }
 
     fn name(&self) -> &'static str {
-        "storage-chunk"
+        S::LOADER_NAME
     }
 }
 
-impl BatchSource for StorageChunkLoader {
+impl<S: ChunkStore> BatchSource for ChunkLoader<S> {
     fn begin_epoch(&mut self) {
         Loader::start_epoch(self)
     }
 
     fn try_next(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        StorageChunkLoader::try_next_batch(self)
+        self.try_next_batch()
     }
 
     fn batches_per_epoch(&self) -> usize {
@@ -199,6 +288,79 @@ impl BatchSource for StorageChunkLoader {
 
     fn source_counters(&self) -> LoaderCounters {
         Loader::counters(self)
+    }
+}
+
+/// One read-but-not-fully-emitted chunk: its rows' global ids (in stored
+/// order) and one matrix per hop.
+#[derive(Debug)]
+struct PendingChunk {
+    rows: Vec<usize>,
+    hops: Vec<Matrix>,
+}
+
+/// Carries rows across batch boundaries, so `batch_size` need not divide
+/// `chunk_size`: read chunks sit untouched in a deque and a row cursor
+/// walks the front chunk, so assembling a batch copies exactly
+/// `batch_size` rows — never the whole pending buffer.
+#[derive(Debug, Default)]
+struct ChunkBatcher {
+    pending: VecDeque<PendingChunk>,
+    /// Rows of `pending.front()` already emitted.
+    cursor: usize,
+    /// Total unemitted rows across `pending` (accounting for `cursor`).
+    pending_rows: usize,
+}
+
+impl ChunkBatcher {
+    /// Drops all carried rows (a new epoch).
+    fn reset(&mut self) {
+        self.pending.clear();
+        self.cursor = 0;
+        self.pending_rows = 0;
+    }
+
+    /// Unemitted rows currently buffered.
+    fn pending_rows(&self) -> usize {
+        self.pending_rows
+    }
+
+    /// Buffers one freshly read chunk.
+    fn push(&mut self, chunk: PendingChunk) {
+        self.pending_rows += chunk.rows.len();
+        self.pending.push_back(chunk);
+    }
+
+    /// Assembles exactly `take` rows (`take <= pending_rows()`) into one
+    /// `take × cols` matrix per hop plus the rows' global indices, with
+    /// one contiguous copy per (hop, chunk segment).
+    fn assemble(&mut self, take: usize, num_hops: usize, cols: usize) -> (Vec<Matrix>, Vec<usize>) {
+        debug_assert!(
+            take <= self.pending_rows,
+            "cannot assemble more than buffered"
+        );
+        let mut hops: Vec<Matrix> = (0..num_hops).map(|_| Matrix::zeros(take, cols)).collect();
+        let mut indices = Vec::with_capacity(take);
+        let mut filled = 0;
+        while filled < take {
+            let chunk = self.pending.front().expect("pending_rows > 0");
+            let avail = chunk.rows.len() - self.cursor;
+            let run = avail.min(take - filled);
+            for (out, src) in hops.iter_mut().zip(&chunk.hops) {
+                out.as_mut_slice()[filled * cols..(filled + run) * cols].copy_from_slice(
+                    &src.as_slice()[self.cursor * cols..(self.cursor + run) * cols],
+                );
+            }
+            indices.extend_from_slice(&chunk.rows[self.cursor..self.cursor + run]);
+            filled += run;
+            self.cursor += run;
+            if self.cursor == chunk.rows.len() {
+                self.pending.pop_front();
+                self.cursor = 0;
+            }
+        }
+        self.pending_rows -= take;
+        (hops, indices)
     }
 }
 

@@ -49,8 +49,8 @@ pub fn save(
         out.expansion.num_operators,
         out.expansion.hops,
     );
-    // Partition balance stats of partitioned runs, one colon-separated
-    // line per partition (absent for single-domain runs).
+    // Partition balance stats, one colon-separated line per partition
+    // (absent in manifests that predate them).
     for s in &out.expansion.partitions {
         manifest.push_str(&format!(
             "partition_{}={}:{}:{}:{}:{}\n",

@@ -1,33 +1,41 @@
 //! Feature pre-propagation (Eq. 2) and input-expansion accounting.
 //!
-//! Since the shard-scheduling rewrite this module is a small diffusion
-//! engine: operator passes are cut into node-range **shards**
-//! ([`ppgnn_graph::ShardPlan`]) and submitted as shard×operator tasks to
-//! the shared worker pool, so different operators' passes overlap instead
-//! of running strictly one after another; finished hops are persisted
-//! through an asynchronous double-buffered writer thread
-//! ([`ppgnn_dataio::AsyncHopWriter`]) so hop `r + 1` diffusion overlaps
-//! hop `r` storage I/O. Both schedules are bit-for-bit equivalent to the
-//! sequential path (pinned by `tests/shard_equivalence.rs`).
+//! One driver runs every pre-propagation: it allocates the three labeled
+//! partitions' outputs, diffuses hop by hop, gathers labeled rows as each
+//! hop completes, hands the finished train-hop matrix to an optional store
+//! sink, and builds the one [`ExpansionReport`]. Two choices vary, each
+//! fixed by configuration rather than by entry point:
 //!
-//! On top of the single-memory-domain schedules sits the **partitioned**
-//! pipeline ([`Preprocessor::run_partitioned`] /
-//! [`Preprocessor::run_with_sharded_store`]): the graph is cut into
-//! disjoint node partitions ([`ppgnn_graph::PartitionPlan`]), diffused with
-//! per-hop ghost-row exchange by `ppgnn-partition`, and each partition's
-//! training rows are written through their own async writer into a
-//! per-partition store under a [`ppgnn_dataio::ShardedStoreManifest`] —
-//! bit-identical features, byte-identical per-row store contents (pinned
-//! by `tests/partition_equivalence.rs`).
+//! * **Engine — by the resolved partition count**
+//!   ([`Preprocessor::with_num_partitions`], else `PPGNN_NUM_PARTITIONS`,
+//!   else 1). At `P = 1` the shard scheduler runs: operator passes are cut
+//!   into node-range **shards** ([`ppgnn_graph::ShardPlan`]) and submitted
+//!   as shard×operator tasks to the shared worker pool, so different
+//!   operators' passes overlap. At `P > 1` the graph is cut into disjoint
+//!   node partitions ([`ppgnn_graph::PartitionPlan`], by
+//!   [`Preprocessor::with_partitioner`]) and diffused with per-hop
+//!   ghost-row exchange by [`PartitionedDiffusion`]. Both engines are
+//!   bit-identical to the sequential per-operator chain (pinned by
+//!   `tests/shard_equivalence.rs` and `tests/partition_equivalence.rs`).
+//! * **Sink — by the entry point.** [`Preprocessor::run`] keeps everything
+//!   in memory; [`Preprocessor::run_with_store`] streams each train hop to
+//!   one [`AsyncHopWriter`]; [`Preprocessor::run_with_sharded_store`]
+//!   splits each train hop by partition owner into a
+//!   [`ShardedStoreWriter`] under a
+//!   [`ppgnn_dataio::ShardedStoreManifest`]. Writers run on their own
+//!   threads, so hop `r + 1` diffusion overlaps hop `r` storage I/O, and
+//!   every stored row is byte-identical whichever engine produced it.
 
 use std::time::Instant;
 
 use ppgnn_dataio::{
     AsyncHopWriter, DataIoError, FeatureStore, ShardedFeatureStore, ShardedStoreWriter, StoreMeta,
-    DEFAULT_WRITER_QUEUE,
+    WriterStats, DEFAULT_WRITER_QUEUE,
 };
 use ppgnn_graph::synth::SynthDataset;
-use ppgnn_graph::{Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
+use ppgnn_graph::{
+    Operator, PartitionPlan, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr,
+};
 use ppgnn_partition::{PartitionStat, PartitionedDiffusion};
 use ppgnn_tensor::{knobs, pool, Matrix, StoreDtype, WorkerPool};
 
@@ -118,14 +126,23 @@ pub struct ExpansionReport {
     /// Number of hops `R`.
     pub hops: usize,
     /// Per-partition balance accounting (rows, nnz, ghost rows, training
-    /// rows, store bytes) when the run used the partitioned pipeline;
-    /// empty for single-domain runs. The `exp_*` binaries print this as
-    /// the partition balance table.
+    /// rows, store bytes), one row per graph partition — a single row with
+    /// zero ghost rows at `P = 1`; empty only for reports rebuilt from
+    /// manifests that predate it. The `exp_*` binaries print this as the
+    /// partition balance table.
     pub partitions: Vec<PartitionStat>,
     /// Per-hop timings and writer-backpressure signals of the run that
     /// produced this report (empty/zero for reports rebuilt from legacy
     /// persisted manifests).
     pub telemetry: PrepTelemetry,
+}
+
+impl PrepTelemetry {
+    /// Records a store writer's backpressure signals.
+    fn record_writer(&mut self, stats: WriterStats) {
+        self.writer_queue_hwm = stats.queue_hwm as u64;
+        self.writer_block_ns = stats.submit_block_ns;
+    }
 }
 
 impl ExpansionReport {
@@ -173,6 +190,8 @@ pub struct Preprocessor {
     num_shards: Option<usize>,
     /// `None` = auto: `PPGNN_NUM_PARTITIONS`, else 1 (unpartitioned).
     num_partitions: Option<usize>,
+    /// How the node space is cut when the partition count exceeds 1.
+    partitioner: &'static dyn Partitioner,
     /// `None` = auto: `PPGNN_WRITER_QUEUE`, else [`DEFAULT_WRITER_QUEUE`].
     writer_queue: Option<usize>,
     /// `None` = auto: `PPGNN_STORE_DTYPE`, else [`StoreDtype::F32`].
@@ -192,6 +211,7 @@ impl Preprocessor {
             hops,
             num_shards: None,
             num_partitions: None,
+            partitioner: &RangeCutPartitioner,
             writer_queue: None,
             store_dtype: None,
         }
@@ -203,24 +223,34 @@ impl Preprocessor {
     /// behaviour); `≥ 2` enables the shard×operator scheduler regardless
     /// of problem size. Without this (and without `PPGNN_NUM_SHARDS`),
     /// the shard count is the worker-pool width, and tiny graphs below
-    /// the parallel threshold fall back to the sequential schedule.
+    /// the parallel threshold fall back to the sequential schedule. At
+    /// `P > 1` partitions the count bounds each partition's SpMM tasks
+    /// per hop instead.
     pub fn with_num_shards(mut self, num_shards: usize) -> Self {
         self.num_shards = Some(num_shards.max(1));
         self
     }
 
-    /// Pins the number of disjoint graph partitions the partitioned
-    /// pipeline ([`Preprocessor::run_partitioned`] /
-    /// [`Preprocessor::run_with_sharded_store`]) cuts the node space into.
+    /// Pins the number of disjoint graph partitions every run cuts the
+    /// node space into.
     ///
-    /// `1` reproduces the unpartitioned behaviour exactly (a single
-    /// partition owns every node, the ghost set is empty, and a sharded
-    /// store degenerates to one partition store whose hop files are
-    /// byte-identical to the single-store layout). Without this (and
-    /// without `PPGNN_NUM_PARTITIONS`), the partitioned entry points run
-    /// with `P = 1`.
+    /// `1` (the default without this or `PPGNN_NUM_PARTITIONS`) runs the
+    /// shard scheduler over the whole graph; `P > 1` runs partitioned
+    /// diffusion with per-hop ghost-row exchange. Outputs are
+    /// bit-identical at any `P`, and so is every stored row: a sharded
+    /// store holds one partition store per graph partition, and at
+    /// `P = 1` its lone partition store's hop files are byte-identical to
+    /// the single-store layout.
     pub fn with_num_partitions(mut self, num_partitions: usize) -> Self {
         self.num_partitions = Some(num_partitions.max(1));
+        self
+    }
+
+    /// Sets the strategy that cuts the node space at `P > 1` partitions
+    /// (default: the nnz-balanced [`RangeCutPartitioner`]; e.g.
+    /// [`ppgnn_graph::BfsGrowPartitioner`] for locality-first cuts).
+    pub fn with_partitioner(mut self, partitioner: &'static dyn Partitioner) -> Self {
+        self.partitioner = partitioner;
         self
     }
 
@@ -305,6 +335,27 @@ impl Preprocessor {
             .max(1)
     }
 
+    /// The node partition plan at the resolved partition count, or `None`
+    /// at `P = 1`, where one partition owns every node and the shard
+    /// scheduler needs no plan.
+    fn partition_plan(&self, data: &SynthDataset) -> Option<PartitionPlan> {
+        let parts = self.resolved_num_partitions();
+        (parts > 1).then(|| self.partitioner.partition(&data.graph, parts))
+    }
+
+    /// Layout of the training partition's store: `R + 1` hop files of
+    /// `K·F` columns over every training row.
+    fn store_meta(&self, data: &SynthDataset, dataset: &str, chunk_size: usize) -> StoreMeta {
+        StoreMeta {
+            dataset: dataset.to_string(),
+            num_hops: self.hops + 1,
+            rows: data.split.train.len(),
+            cols: self.operators.len() * data.features.cols(),
+            chunk_size,
+            dtype: self.resolved_store_dtype(),
+        }
+    }
+
     /// Groups operator indices for concurrent scheduling.
     ///
     /// Single-SpMM operators (`SymNorm`/`RowNorm`) are grouped up to the
@@ -342,18 +393,19 @@ impl Preprocessor {
         groups
     }
 
-    /// Runs pre-propagation on `data`.
+    /// Runs pre-propagation on `data`, in memory.
     ///
-    /// This is the shard-scheduled pipeline: operators are grouped (see
-    /// `operator_groups`), each group diffuses hop-by-hop through
-    /// per-operator ping-pong full-graph buffers, and every hop step
-    /// submits one task per (shard, operator) — a serial
+    /// At `P = 1` this is the shard-scheduled pipeline: operators are
+    /// grouped (see `operator_groups`), each group diffuses hop-by-hop
+    /// through per-operator ping-pong full-graph buffers, and every hop
+    /// step submits one task per (shard, operator) — a serial
     /// [`WeightedCsr::spmm_rows_into`] over an nnz-balanced node range —
     /// to the shared worker pool, so the pool stays full across operator
-    /// boundaries instead of draining at the tail of every pass. Labeled
-    /// rows are gathered straight into each operator's column block of the
-    /// partition outputs as hops complete. Results are bit-identical to
-    /// the sequential per-operator schedule at any shard count.
+    /// boundaries instead of draining at the tail of every pass. At
+    /// `P > 1` it is partitioned diffusion with ghost-row exchange. Either
+    /// way, labeled rows are gathered straight into each operator's column
+    /// block of the partition outputs as hops complete, and results are
+    /// bit-identical to the sequential per-operator chain.
     pub fn run(&self, data: &SynthDataset) -> PrepropOutput {
         self.run_on(data, pool::pool())
     }
@@ -365,14 +417,15 @@ impl Preprocessor {
     /// mirroring [`WeightedCsr::spmm_into_on`]. Shard tasks and nested
     /// kernel fan-outs reuse this handle.
     pub fn run_on(&self, data: &SynthDataset, pool: &WorkerPool) -> PrepropOutput {
-        self.run_streaming(data, None, pool)
+        self.drive(data, self.partition_plan(data), Sink::Memory, pool)
             .expect("in-memory preprocessing performs no I/O")
     }
 
     /// Runs pre-propagation and **writes the training partition through**
     /// to a [`FeatureStore`] as each hop completes (the Section 4.3
     /// file-per-hop layout), instead of materializing everything and
-    /// persisting afterwards.
+    /// persisting afterwards. The partition count picks the engine exactly
+    /// as in [`Preprocessor::run`]; the store is the same at any `P`.
     ///
     /// Persistence is asynchronous: finished hops travel over a bounded
     /// channel (depth [`Preprocessor::with_writer_queue`]) to a dedicated
@@ -401,22 +454,18 @@ impl Preprocessor {
         dataset: &str,
         chunk_size: usize,
     ) -> Result<(PrepropOutput, FeatureStore), DataIoError> {
-        let f = data.features.cols();
-        let meta = StoreMeta {
-            dataset: dataset.to_string(),
-            num_hops: self.hops + 1,
-            rows: data.split.train.len(),
-            cols: self.operators.len() * f,
-            chunk_size,
-            dtype: self.resolved_store_dtype(),
-        };
+        let meta = self.store_meta(data, dataset, chunk_size);
         let mut writer = AsyncHopWriter::create_or_resume(dir, meta, self.resolved_writer_queue())?;
-        match self.run_streaming(data, Some(&mut writer), pool::pool()) {
+        let plan = self.partition_plan(data);
+        match self.drive(data, plan, Sink::Store(&mut writer), pool::pool()) {
             Ok(mut out) => {
-                let stats = writer.stats();
-                out.expansion.telemetry.writer_queue_hwm = stats.queue_hwm as u64;
-                out.expansion.telemetry.writer_block_ns = stats.submit_block_ns;
+                out.expansion.telemetry.record_writer(writer.stats());
                 let store = writer.finish()?;
+                // One store holds every row; it is a partition's store
+                // only when one partition owns every row.
+                if let [only] = &mut out.expansion.partitions[..] {
+                    only.store_bytes = store.meta().total_bytes();
+                }
                 Ok((out, store))
             }
             // A failed submit returns a fail-fast placeholder; the write
@@ -425,25 +474,81 @@ impl Preprocessor {
         }
     }
 
-    fn run_streaming(
+    /// Runs pre-propagation and writes each graph partition's training
+    /// rows through its own async writer into a per-partition feature
+    /// store under a [`ppgnn_dataio::ShardedStoreManifest`]. Partition
+    /// `p`'s store holds the training rows of the nodes it owns, in global
+    /// training order, so every stored row is **byte-identical** to the
+    /// same row of [`Preprocessor::run_with_store`]'s single store; with
+    /// `P = 1` the lone partition store's hop files are byte-identical to
+    /// the single store's.
+    ///
+    /// Like [`Preprocessor::run_with_store`], the run is resumable: each
+    /// partition journals its committed hops, and an interrupted run of
+    /// the same geometry skips re-writing the `(partition, hop)` units
+    /// already proven complete.
+    ///
+    /// # Errors
+    ///
+    /// Propagates store-creation and write failures (reporting the
+    /// latched write cause, not the fail-fast placeholder, when a submit
+    /// aborts the run).
+    pub fn run_with_sharded_store(
         &self,
         data: &SynthDataset,
-        mut sink: Option<&mut AsyncHopWriter>,
+        dir: impl AsRef<std::path::Path>,
+        dataset: &str,
+        chunk_size: usize,
+    ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
+        let plan = self.partition_plan(data);
+        // Global training rows owned by each partition, in global training
+        // order — store `p`'s local row `j` is training row
+        // `rows_by_part[p][j]`.
+        let num_parts = plan.as_ref().map_or(1, PartitionPlan::num_partitions);
+        let mut rows_by_part: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+        for (i, &v) in data.split.train.iter().enumerate() {
+            rows_by_part[plan.as_ref().map_or(0, |plan| plan.owner(v))].push(i);
+        }
+        let meta = self.store_meta(data, dataset, chunk_size);
+        let mut writer = ShardedStoreWriter::create_or_resume(
+            dir,
+            meta,
+            &rows_by_part,
+            self.resolved_writer_queue(),
+        )?;
+        let sink = Sink::Sharded(&mut writer, &rows_by_part);
+        match self.drive(data, plan, sink, pool::pool()) {
+            Ok(mut out) => {
+                out.expansion.telemetry.record_writer(writer.writer_stats());
+                let store = writer.finish()?;
+                for stat in &mut out.expansion.partitions {
+                    stat.store_bytes = store.partition_meta(stat.partition).total_bytes();
+                }
+                Ok((out, store))
+            }
+            // A failed submit returns a fail-fast placeholder; the write
+            // error a partition writer latched is the actual cause.
+            Err(e) => Err(writer.take_failure().unwrap_or(e)),
+        }
+    }
+
+    /// The one pre-propagation loop: allocates the labeled outputs, runs
+    /// the engine the plan selects (shard scheduler without a plan,
+    /// partitioned diffusion with one), hands every finished train hop to
+    /// `sink`, and builds the report.
+    fn drive(
+        &self,
+        data: &SynthDataset,
+        plan: Option<PartitionPlan>,
+        mut sink: Sink<'_>,
         pool: &WorkerPool,
     ) -> Result<PrepropOutput, DataIoError> {
         let start = Instant::now();
         let _prep_span = ppgnn_telemetry::span("preprocess");
-        let n = data.graph.num_nodes();
         let f = data.features.cols();
         let k_ops = self.operators.len();
         let kf = k_ops * f;
-        // Per-hop wall time, accumulated across operator groups. One
-        // `Instant` pair per (group, hop) — negligible against a
-        // diffusion pass, so it is unconditional, not trace-gated.
-        let mut hop_ns = vec![0u64; self.hops + 1];
-
-        let ids_by_part: [&[usize]; 3] = [&data.split.train, &data.split.val, &data.split.test];
-        let mut hops_by_part: Vec<Vec<Matrix>> = ids_by_part
+        let mut hops_by_part: Vec<Vec<Matrix>> = labeled_ids(data)
             .iter()
             .map(|ids| {
                 (0..=self.hops)
@@ -451,10 +556,78 @@ impl Preprocessor {
                     .collect()
             })
             .collect();
+        let mut hop_ns = vec![0u64; self.hops + 1];
+        let on_hop = |r: usize, train_hop: &Matrix| sink.submit(r, train_hop);
 
+        let partitions = match plan {
+            None => self.diffuse_sharded(data, &mut hops_by_part, &mut hop_ns, pool, on_hop)?,
+            Some(plan) => {
+                self.diffuse_partitioned(data, plan, &mut hops_by_part, &mut hop_ns, pool, on_hop)?
+            }
+        };
+
+        let mut parts = hops_by_part.into_iter();
+        let mut extract = |ids: &[usize]| -> PrepropFeatures {
+            PrepropFeatures {
+                hops: parts.next().expect("three partitions"),
+                labels: data.labels_of(ids),
+                node_ids: ids.to_vec(),
+            }
+        };
+        let train = extract(&data.split.train);
+        let val = extract(&data.split.val);
+        let test = extract(&data.split.test);
+
+        let preprocess_seconds = start.elapsed().as_secs_f64();
+        for &ns in &hop_ns {
+            PREP_HOP_NS.record(ns);
+        }
+        // Account what the run materialized, not what a formula predicts:
+        // retained rows and expanded bytes come from the three partitions'
+        // actual hop matrices.
+        let retained_rows = (train.len() + val.len() + test.len()) as u64;
+        let expansion = ExpansionReport {
+            raw_bytes: retained_rows * (f as u64) * 4,
+            expanded_bytes: train.size_bytes() + val.size_bytes() + test.size_bytes(),
+            retained_rows,
+            num_operators: k_ops,
+            hops: self.hops,
+            partitions,
+            telemetry: PrepTelemetry {
+                hop_ns,
+                ..PrepTelemetry::default()
+            },
+        };
+        Ok(PrepropOutput {
+            train,
+            val,
+            test,
+            preprocess_seconds,
+            expansion,
+        })
+    }
+
+    /// The `P = 1` engine: the shard scheduler over the whole graph.
+    /// Gathers every operator's hop `r` into `outs[part][r]` and calls
+    /// `on_hop(r, train_hop)` once hop `r` is complete (during the last
+    /// operator group, after earlier groups ran to completion). Returns
+    /// the single partition's balance row.
+    fn diffuse_sharded(
+        &self,
+        data: &SynthDataset,
+        outs: &mut [Vec<Matrix>],
+        hop_ns: &mut [u64],
+        pool: &WorkerPool,
+        mut on_hop: impl FnMut(usize, &Matrix) -> Result<(), DataIoError>,
+    ) -> Result<Vec<PartitionStat>, DataIoError> {
+        let n = data.graph.num_nodes();
+        let f = data.features.cols();
+        let ids_by_part = labeled_ids(data);
         let (num_shards, shards_pinned) = self.resolved_num_shards(pool);
         let groups = self.operator_groups(num_shards);
         let num_groups = groups.len();
+        // nnz of operator 0's base (group 0, slot 0) for the balance row.
+        let mut nnz = None;
 
         // Per-operator ping-pong propagation buffers, allocated to the
         // largest group's width on demand and reused across groups.
@@ -468,21 +641,13 @@ impl Preprocessor {
             // into each group member's column block.
             for &ki in group {
                 let col = ki * f;
-                for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
+                for (ids, hops) in ids_by_part.iter().zip(outs.iter_mut()) {
                     data.features
                         .gather_rows_into_offset(ids, &mut hops[0], col);
                 }
             }
             if last_group {
-                // Every operator has filled its hop-0 column block by now
-                // (earlier groups ran to completion first). Hops an
-                // interrupted run already committed (per the journal) are
-                // not resubmitted — their bytes are on disk.
-                if let Some(writer) = sink.as_deref_mut() {
-                    if !writer.resumed_hops()[0] {
-                        writer.submit(0, hops_by_part[0][0].clone())?;
-                    }
-                }
+                on_hop(0, &outs[0][0])?;
             }
             hop_ns[0] += hop0_t0.elapsed().as_nanos() as u64;
             if self.hops == 0 {
@@ -493,6 +658,7 @@ impl Preprocessor {
                 .iter()
                 .map(|&ki| self.operators[ki].base(&data.graph))
                 .collect();
+            nnz.get_or_insert(bases[0].nnz());
             while currents.len() < group.len() {
                 currents.push(Matrix::zeros(n, f));
                 nexts.push(Matrix::zeros(n, f));
@@ -546,241 +712,50 @@ impl Preprocessor {
                 }
                 for (slot, &ki) in group.iter().enumerate() {
                     let col = ki * f;
-                    for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
+                    for (ids, hops) in ids_by_part.iter().zip(outs.iter_mut()) {
                         currents[slot].gather_rows_into_offset(ids, &mut hops[r], col);
                     }
                 }
                 if last_group {
-                    if let Some(writer) = sink.as_deref_mut() {
-                        // The clone is the write-side double buffer: at most
-                        // queue-depth + 1 extra train-hop matrices are in
-                        // flight, owned by the writer thread while diffusion
-                        // continues — train-partition-sized, not full-graph.
-                        // Journaled (resumed) hops skip the clone + write.
-                        if !writer.resumed_hops()[r] {
-                            writer.submit(r, hops_by_part[0][r].clone())?;
-                        }
-                    }
+                    on_hop(r, &outs[0][r])?;
                 }
                 hop_ns[r] += hop_t0.elapsed().as_nanos() as u64;
             }
         }
-
-        let mut parts = hops_by_part.into_iter();
-        let mut extract = |ids: &[usize]| -> PrepropFeatures {
-            PrepropFeatures {
-                hops: parts.next().expect("three partitions"),
-                labels: data.labels_of(ids),
-                node_ids: ids.to_vec(),
-            }
-        };
-        let train = extract(&data.split.train);
-        let val = extract(&data.split.val);
-        let test = extract(&data.split.test);
-
-        let preprocess_seconds = start.elapsed().as_secs_f64();
-        for &ns in &hop_ns {
-            PREP_HOP_NS.record(ns);
-        }
-        // Account what the run materialized, not what a formula predicts:
-        // retained rows and expanded bytes come from the three partitions'
-        // actual hop matrices.
-        let retained_rows = (train.len() + val.len() + test.len()) as u64;
-        let expansion = ExpansionReport {
-            raw_bytes: retained_rows * (f as u64) * 4,
-            expanded_bytes: train.size_bytes() + val.size_bytes() + test.size_bytes(),
-            retained_rows,
-            num_operators: k_ops,
-            hops: self.hops,
-            partitions: Vec::new(),
-            telemetry: PrepTelemetry {
-                hop_ns,
-                ..PrepTelemetry::default()
-            },
-        };
-        Ok(PrepropOutput {
-            train,
-            val,
-            test,
-            preprocess_seconds,
-            expansion,
-        })
+        let nnz = nnz.unwrap_or_else(|| self.operators[0].base(&data.graph).nnz());
+        Ok(vec![PartitionStat {
+            partition: 0,
+            rows: n,
+            nnz,
+            ghost_rows: 0,
+            train_rows: data.split.train.len(),
+            store_bytes: 0,
+        }])
     }
 
-    /// Runs pre-propagation through the **partition-parallel** engine:
-    /// the graph is cut into [`Preprocessor::with_num_partitions`] (or
-    /// `PPGNN_NUM_PARTITIONS`) disjoint node partitions by the default
-    /// nnz-balanced [`RangeCutPartitioner`], each partition diffuses its
-    /// own rows with a per-hop ghost-row exchange, and labeled rows are
-    /// gathered exactly as [`Preprocessor::run`] gathers them. Results are
-    /// **bit-identical** to `run` at any partition count (pinned by
-    /// `tests/partition_equivalence.rs`); `expansion.partitions` carries
-    /// the per-partition balance table.
-    pub fn run_partitioned(&self, data: &SynthDataset) -> PrepropOutput {
-        self.run_partitioned_on(data, pool::pool())
-    }
-
-    /// [`Preprocessor::run_partitioned`] on an explicit worker pool.
-    pub fn run_partitioned_on(&self, data: &SynthDataset, pool: &WorkerPool) -> PrepropOutput {
-        self.run_partitioned_with(data, &RangeCutPartitioner, pool)
-    }
-
-    /// [`Preprocessor::run_partitioned`] with an explicit
-    /// [`Partitioner`] strategy (e.g.
-    /// [`ppgnn_graph::BfsGrowPartitioner`] for locality-first cuts).
-    pub fn run_partitioned_with(
+    /// The `P > 1` engine: partitioned diffusion with per-hop ghost-row
+    /// exchange over `plan`. Hop views are gathered into the labeled
+    /// outputs exactly like the shard scheduler's buffers, and
+    /// `on_hop(r, train_hop)` runs as each hop completes. Returns one
+    /// balance row per partition.
+    fn diffuse_partitioned(
         &self,
         data: &SynthDataset,
-        partitioner: &dyn Partitioner,
+        plan: PartitionPlan,
+        outs: &mut [Vec<Matrix>],
+        hop_ns: &mut [u64],
         pool: &WorkerPool,
-    ) -> PrepropOutput {
-        let engine = self.partition_engine(data, partitioner);
-        self.run_partitioned_streaming(data, &engine, None, pool)
-            .expect("in-memory partitioned preprocessing performs no I/O")
-    }
-
-    /// Runs the partitioned pipeline **and** writes each partition's
-    /// training rows through its own async writer into a per-partition
-    /// feature store under a [`ppgnn_dataio::ShardedStoreManifest`] — the
-    /// partition-parallel counterpart of
-    /// [`Preprocessor::run_with_store`]. Partition `p`'s store holds the
-    /// training rows of the nodes it owns, in global training order, so
-    /// every stored row is **byte-identical** to the same row of the
-    /// single-store layout; with `P = 1` the lone partition store's hop
-    /// files are byte-identical to [`Preprocessor::run_with_store`]'s.
-    ///
-    /// Like [`Preprocessor::run_with_store`], the run is resumable: each
-    /// partition journals its committed hops, and an interrupted run of
-    /// the same geometry skips re-writing the `(partition, hop)` units
-    /// already proven complete.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store-creation and write failures (reporting the
-    /// latched write cause, not the fail-fast placeholder, when a submit
-    /// aborts the run).
-    pub fn run_with_sharded_store(
-        &self,
-        data: &SynthDataset,
-        dir: impl AsRef<std::path::Path>,
-        dataset: &str,
-        chunk_size: usize,
-    ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
-        self.run_with_sharded_store_using(
-            data,
-            &RangeCutPartitioner,
-            dir,
-            dataset,
-            chunk_size,
-            pool::pool(),
-        )
-    }
-
-    /// [`Preprocessor::run_with_sharded_store`] with an explicit
-    /// partitioner and worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Preprocessor::run_with_sharded_store`].
-    pub fn run_with_sharded_store_using(
-        &self,
-        data: &SynthDataset,
-        partitioner: &dyn Partitioner,
-        dir: impl AsRef<std::path::Path>,
-        dataset: &str,
-        chunk_size: usize,
-        pool: &WorkerPool,
-    ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
-        let engine = self.partition_engine(data, partitioner);
-        let plan = engine.plan();
+        mut on_hop: impl FnMut(usize, &Matrix) -> Result<(), DataIoError>,
+    ) -> Result<Vec<PartitionStat>, DataIoError> {
+        let engine =
+            PartitionedDiffusion::new(&data.graph, self.operators.clone(), self.hops, plan);
         let f = data.features.cols();
-        // Global training rows owned by each partition, in global training
-        // order — store `p`'s local row `j` is training row
-        // `rows_by_part[p][j]`.
-        let mut rows_by_part: Vec<Vec<usize>> = vec![Vec::new(); plan.num_partitions()];
-        let mut nodes_by_part: Vec<Vec<usize>> = vec![Vec::new(); plan.num_partitions()];
-        for (i, &v) in data.split.train.iter().enumerate() {
-            rows_by_part[plan.owner(v)].push(i);
-            nodes_by_part[plan.owner(v)].push(v);
-        }
-        let meta = StoreMeta {
-            dataset: dataset.to_string(),
-            num_hops: self.hops + 1,
-            rows: data.split.train.len(),
-            cols: self.operators.len() * f,
-            chunk_size,
-            dtype: self.resolved_store_dtype(),
-        };
-        let mut writer = ShardedStoreWriter::create_or_resume(
-            dir,
-            meta,
-            &rows_by_part,
-            self.resolved_writer_queue(),
-        )?;
-        match self.run_partitioned_streaming(
-            data,
-            &engine,
-            Some((&mut writer, &nodes_by_part)),
-            pool,
-        ) {
-            Ok(mut out) => {
-                let stats = writer.writer_stats();
-                out.expansion.telemetry.writer_queue_hwm = stats.queue_hwm as u64;
-                out.expansion.telemetry.writer_block_ns = stats.submit_block_ns;
-                let store = writer.finish()?;
-                for stat in &mut out.expansion.partitions {
-                    stat.store_bytes = store.partition_meta(stat.partition).total_bytes();
-                }
-                Ok((out, store))
-            }
-            // A failed submit returns a fail-fast placeholder; the write
-            // error a partition writer latched is the actual cause.
-            Err(e) => Err(writer.take_failure().unwrap_or(e)),
-        }
-    }
-
-    fn partition_engine(
-        &self,
-        data: &SynthDataset,
-        partitioner: &dyn Partitioner,
-    ) -> PartitionedDiffusion {
-        let plan = partitioner.partition(&data.graph, self.resolved_num_partitions());
-        PartitionedDiffusion::new(&data.graph, self.operators.clone(), self.hops, plan)
-    }
-
-    /// The partitioned analog of `run_streaming`: hop views are gathered
-    /// into the three labeled partitions' column blocks exactly like the
-    /// single-domain engine, and (optionally) each graph partition's
-    /// training rows are submitted to its async store writer as every hop
-    /// completes.
-    fn run_partitioned_streaming(
-        &self,
-        data: &SynthDataset,
-        engine: &PartitionedDiffusion,
-        mut sink: Option<(&mut ShardedStoreWriter, &[Vec<usize>])>,
-        pool: &WorkerPool,
-    ) -> Result<PrepropOutput, DataIoError> {
-        let start = Instant::now();
-        let _prep_span = ppgnn_telemetry::span("preprocess");
-        let f = data.features.cols();
-        let k_ops = self.operators.len();
-        let kf = k_ops * f;
+        let ids_by_part = labeled_ids(data);
         // Hop `r`'s time is the wall clock between successive hop
         // callbacks (the engine invokes the callback once per finished
         // hop, hop 0 first), so diffusion and the ghost exchange are
         // attributed to the hop they produced.
-        let mut hop_ns = vec![0u64; self.hops + 1];
         let mut hop_clock = Instant::now();
-        let ids_by_part: [&[usize]; 3] = [&data.split.train, &data.split.val, &data.split.test];
-        let mut hops_by_part: Vec<Vec<Matrix>> = ids_by_part
-            .iter()
-            .map(|ids| {
-                (0..=self.hops)
-                    .map(|_| Matrix::zeros(ids.len(), kf))
-                    .collect()
-            })
-            .collect();
-
         // Task granularity: reuse the shard knob so `PPGNN_NUM_SHARDS`
         // bounds per-partition SpMM tasks too; the cut never affects
         // results.
@@ -788,73 +763,64 @@ impl Preprocessor {
         engine.run::<DataIoError>(&data.features, pool, task_shards, |r, view| {
             hop_ns[r] += hop_clock.elapsed().as_nanos() as u64;
             let _hop_span = ppgnn_telemetry::span_with("hop_gather", &[("r", r as u64)]);
-            for k in 0..k_ops {
-                let col = k * f;
-                for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
-                    view.gather_rows_into_offset(k, ids, &mut hops[r], col);
+            for k in 0..self.operators.len() {
+                for (ids, hops) in ids_by_part.iter().zip(outs.iter_mut()) {
+                    view.gather_rows_into_offset(k, ids, &mut hops[r], k * f);
                 }
             }
-            if let Some((writer, nodes_by_part)) = sink.as_mut() {
-                for (p, nodes) in nodes_by_part.iter().enumerate() {
-                    // (partition, hop) units an interrupted run already
-                    // committed (per that partition's journal) are not
-                    // regathered or resubmitted.
-                    if writer.resumed_hops(p)[r] {
-                        continue;
-                    }
-                    let mut rows = Matrix::zeros(nodes.len(), kf);
-                    for k in 0..k_ops {
-                        view.gather_rows_into_offset(k, nodes, &mut rows, k * f);
-                    }
-                    writer.submit(p, r, rows)?;
-                }
-            }
+            on_hop(r, &outs[0][r])?;
             hop_clock = Instant::now();
             Ok(())
         })?;
-
-        let mut parts = hops_by_part.into_iter();
-        let mut extract = |ids: &[usize]| -> PrepropFeatures {
-            PrepropFeatures {
-                hops: parts.next().expect("three partitions"),
-                labels: data.labels_of(ids),
-                node_ids: ids.to_vec(),
-            }
-        };
-        let train = extract(&data.split.train);
-        let val = extract(&data.split.val);
-        let test = extract(&data.split.test);
-
-        let mut partitions = engine.partition_stats();
-        let plan = engine.plan();
+        let mut stats = engine.partition_stats();
         for &v in &data.split.train {
-            partitions[plan.owner(v)].train_rows += 1;
+            stats[engine.plan().owner(v)].train_rows += 1;
         }
+        Ok(stats)
+    }
+}
 
-        let preprocess_seconds = start.elapsed().as_secs_f64();
-        for &ns in &hop_ns {
-            PREP_HOP_NS.record(ns);
+/// Node ids of the three labeled partitions, in output order.
+fn labeled_ids(data: &SynthDataset) -> [&[usize]; 3] {
+    [&data.split.train, &data.split.val, &data.split.test]
+}
+
+/// Where the driver sends each finished train hop — chosen by the entry
+/// point, independent of the engine.
+enum Sink<'a> {
+    /// An in-memory run: nowhere.
+    Memory,
+    /// One feature store.
+    Store(&'a mut AsyncHopWriter),
+    /// One store per partition, each fed the training rows its partition
+    /// owns (`rows_by_part[p]`, in global training order).
+    Sharded(&'a mut ShardedStoreWriter, &'a [Vec<usize>]),
+}
+
+impl Sink<'_> {
+    /// Hands train hop `r` on. Hops an interrupted run already committed
+    /// (per the journal) are skipped — their bytes are on disk.
+    fn submit(&mut self, r: usize, train_hop: &Matrix) -> Result<(), DataIoError> {
+        match self {
+            Sink::Memory => {}
+            // The clone is the write-side double buffer: at most
+            // queue-depth + 1 extra train-hop matrices are in flight,
+            // owned by the writer thread while diffusion continues —
+            // train-partition-sized, not full-graph.
+            Sink::Store(writer) => {
+                if !writer.resumed_hops()[r] {
+                    writer.submit(r, train_hop.clone())?;
+                }
+            }
+            Sink::Sharded(writer, rows_by_part) => {
+                for (p, rows) in rows_by_part.iter().enumerate() {
+                    if !writer.resumed_hops(p)[r] {
+                        writer.submit(p, r, train_hop.gather_rows(rows))?;
+                    }
+                }
+            }
         }
-        let retained_rows = (train.len() + val.len() + test.len()) as u64;
-        let expansion = ExpansionReport {
-            raw_bytes: retained_rows * (f as u64) * 4,
-            expanded_bytes: train.size_bytes() + val.size_bytes() + test.size_bytes(),
-            retained_rows,
-            num_operators: k_ops,
-            hops: self.hops,
-            partitions,
-            telemetry: PrepTelemetry {
-                hop_ns,
-                ..PrepTelemetry::default()
-            },
-        };
-        Ok(PrepropOutput {
-            train,
-            val,
-            test,
-            preprocess_seconds,
-            expansion,
-        })
+        Ok(())
     }
 }
 
@@ -1068,7 +1034,7 @@ mod tests {
         for parts in [1, 2, 5] {
             let partitioned = Preprocessor::new(ops.clone(), 3)
                 .with_num_partitions(parts)
-                .run_partitioned(&data);
+                .run(&data);
             for (a, b) in [
                 (&reference.train, &partitioned.train),
                 (&reference.val, &partitioned.val),
@@ -1105,6 +1071,7 @@ mod tests {
             expansion.partitions = Vec::new();
             expansion.telemetry = PrepTelemetry::default();
             let mut ref_expansion = reference.expansion.clone();
+            ref_expansion.partitions = Vec::new();
             ref_expansion.telemetry = PrepTelemetry::default();
             assert_eq!(expansion, ref_expansion);
         }

@@ -171,7 +171,10 @@ pub struct PartitionCsr {
 }
 
 /// A strategy for cutting a graph into `P` disjoint node partitions.
-pub trait Partitioner {
+///
+/// Strategies are stateless values a `Preprocessor` holds by reference,
+/// hence the `Debug + Send + Sync` bounds.
+pub trait Partitioner: std::fmt::Debug + Send + Sync {
     /// Stable display name (used in reports and bench artifacts).
     fn name(&self) -> &'static str;
 

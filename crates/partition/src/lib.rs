@@ -41,8 +41,8 @@ pub struct PartitionStat {
     pub ghost_rows: usize,
     /// Training rows owned by the partition. The engine leaves this at
     /// `0` ([`PartitionedDiffusion::partition_stats`] has no notion of a
-    /// split); the partitioned preprocessor in `ppgnn-core` fills it for
-    /// every run, with or without a store.
+    /// split); the preprocessor in `ppgnn-core` fills it for every run,
+    /// with or without a store.
     pub train_rows: usize,
     /// Payload bytes of the partition's feature store — the only
     /// store-dependent field: filled by the store-writing caller, `0`

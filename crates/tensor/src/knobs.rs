@@ -142,7 +142,7 @@ pub const REGISTRY: &[KnobDef] = &[
         name: NUM_PARTITIONS,
         kind: KnobKind::Usize { min: 1, max: 4096 },
         default: "1 (unpartitioned)",
-        doc: "Graph partition count for ghost-row-exchange preprocessing.",
+        doc: "Graph partition count of every pre-propagation run; >1 diffuses with ghost-row exchange, bit-identical at any count.",
     },
     KnobDef {
         name: WRITER_QUEUE,

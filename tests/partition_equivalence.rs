@@ -6,11 +6,15 @@
 //!
 //! * diffusion at `P ∈ {1, 2, 5}` must be **bit-identical** to the
 //!   whole-graph path on R-MAT-skewed graphs, with mixed sym/rw/ppr
-//!   operators (the series operators exercise per-term ghost exchange);
+//!   operators (the series operators exercise per-term ghost exchange),
+//!   and every run reports one balance row per partition — a single row
+//!   with no ghost rows at `P = 1`;
 //! * every row served by the sharded feature store must be
 //!   **byte-identical** (FNV digest + raw compare) to the same row of the
-//!   single-store layout, and at `P = 1` the lone partition store's hop
-//!   files must be byte-identical to the unsharded files;
+//!   single-store layout, at `P = 1` the lone partition store's hop files
+//!   must be byte-identical to the unsharded files, and a single store
+//!   written through partitioned diffusion must be byte-identical to one
+//!   written through the shard scheduler;
 //! * the [`ShardedStorageChunkLoader`] must drive an unmodified training
 //!   epoch end-to-end, covering every training row exactly once.
 
@@ -52,11 +56,18 @@ fn partitioned_diffusion_is_bit_identical_across_partition_counts() {
         Operator::Ppr { alpha: 0.15 },
         Operator::RowNorm,
     ];
-    let reference = Preprocessor::new(ops.clone(), 3).run(&data);
+    let reference = Preprocessor::new(ops.clone(), 3)
+        .with_num_partitions(1)
+        .run(&data);
+    let whole = &reference.expansion.partitions;
+    assert_eq!(whole.len(), 1, "P=1 reports one balance row");
+    assert_eq!(whole[0].ghost_rows, 0, "P=1 must exchange nothing");
+    assert_eq!(whole[0].rows, data.graph.num_nodes());
+    assert_eq!(whole[0].train_rows, data.split.train.len());
     for parts in [1, 2, 5] {
         let partitioned = Preprocessor::new(ops.clone(), 3)
             .with_num_partitions(parts)
-            .run_partitioned(&data);
+            .run(&data);
         assert_bit_identical(&reference, &partitioned, &format!("{parts} partitions"));
         // The balance table covers the whole graph.
         let stats = &partitioned.expansion.partitions;
@@ -78,7 +89,8 @@ fn bfs_grow_partitioner_matches_too() {
     let reference = Preprocessor::new(ops.clone(), 2).run(&data);
     let partitioned = Preprocessor::new(ops, 2)
         .with_num_partitions(4)
-        .run_partitioned_with(&data, &BfsGrowPartitioner, preprop_gnn::tensor::pool());
+        .with_partitioner(&BfsGrowPartitioner)
+        .run(&data);
     assert_bit_identical(&reference, &partitioned, "bfs-grow");
 }
 
@@ -90,7 +102,14 @@ fn sharded_store_rows_are_byte_identical_to_single_store() {
     let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3);
 
     let (_, mut single) = prep
+        .clone()
+        .with_num_partitions(1)
         .run_with_store(&data, base.join("single"), "pokec-sim", 32)
+        .unwrap();
+    // The same single store written through partitioned diffusion.
+    prep.clone()
+        .with_num_partitions(2)
+        .run_with_store(&data, base.join("single-p2"), "pokec-sim", 32)
         .unwrap();
 
     for parts in [1usize, 4] {
@@ -124,13 +143,21 @@ fn sharded_store_rows_are_byte_identical_to_single_store() {
         }
     }
 
-    // P=1 degenerates to the unsharded layout: hop files byte-identical.
+    // P=1 degenerates to the unsharded layout, and the single store does
+    // not depend on the engine: hop files byte-identical.
     for k in 0..4 {
         let name = format!("hop_{k}.ppgt");
         let a = std::fs::read(base.join("single").join(&name)).unwrap();
-        let b = std::fs::read(base.join("p1").join("part_0").join(&name)).unwrap();
-        assert_eq!(digest(&a), digest(&b), "{name} differs between P=1 layouts");
-        assert_eq!(a, b);
+        for other in [base.join("p1").join("part_0"), base.join("single-p2")] {
+            let b = std::fs::read(other.join(&name)).unwrap();
+            assert_eq!(
+                digest(&a),
+                digest(&b),
+                "{name} differs from {}",
+                other.display()
+            );
+            assert_eq!(a, b);
+        }
     }
     std::fs::remove_dir_all(&base).unwrap();
 }

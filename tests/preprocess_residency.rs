@@ -14,19 +14,35 @@
 //! (the cap's spare matrix absorbs a group's extra bases).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 
-/// System allocator wrapper tracking current and peak live bytes, plus a
-/// raw allocation count (for the kernel-scratch reuse assertions).
+/// System allocator wrapper tracking current and peak live bytes
+/// process-wide, plus a per-thread allocation count (for the
+/// kernel-scratch reuse assertions).
 struct TrackingAlloc;
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocations made by the current thread. Count-based tests read
+    /// their own thread's count, so allocations by other threads of the
+    /// process (the test harness, idle pool workers) never land in their
+    /// window. `const`-initialised with no destructor, so touching it
+    /// never allocates.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates allocation entirely to `System`; the added bookkeeping
 // touches only atomics and never the returned memory.
@@ -39,7 +55,8 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         if !ptr.is_null() {
             let now = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(now, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            // `try_with`: a thread being torn down has no slot left.
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         }
         ptr
     }
@@ -56,9 +73,27 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc;
 
-/// Serializes the tests in this binary: the allocator counters are
+/// Serializes the tests in this binary: the residency counters are
 /// process-global, so concurrent tests would inflate each other's peaks.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]. A failed test poisons the lock; the guard is still
+/// taken, so one failure reports as one failure, not one per test.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Asserts a kernel's work stays at or below the parallel threshold, so
+/// it runs on the calling thread and every allocation it makes is counted
+/// by [`allocs`].
+fn assert_serial_work(what: &str, work: usize) {
+    let threshold = ppgnn_tensor::pool::parallel_threshold();
+    assert!(
+        work <= threshold,
+        "{what}: {work} madds exceed the parallel threshold {threshold}; \
+         pooled work would allocate on threads the count does not see"
+    );
+}
 
 /// Resets the peak to the current level and returns the level.
 fn reset_peak() -> usize {
@@ -79,7 +114,7 @@ fn csr_bytes(data: &SynthDataset) -> usize {
 }
 
 fn assert_residency_bound(operators: Vec<Operator>, hops: usize, num_shards: Option<usize>) {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.05), 7)
         .expect("generation succeeds");
     let mut prep = Preprocessor::new(operators, hops);
@@ -137,7 +172,7 @@ fn linear_training_batches_reuse_scratch_with_bounded_allocations() {
     use ppgnn_nn::{Linear, Mode, Module};
     use ppgnn_tensor::Matrix;
 
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(11)
@@ -145,6 +180,8 @@ fn linear_training_batches_reuse_scratch_with_bounded_allocations() {
     let mut layer = Linear::new(64, 32, &mut rng);
     let x = Matrix::from_fn(256, 64, |r, c| ((r * 13 + c * 7) % 29) as f32 * 0.03 - 0.4);
     let g = Matrix::from_fn(256, 32, |r, c| ((r * 5 + c * 11) % 23) as f32 * 0.01 - 0.1);
+    // Forward, ∂W and ∂X are each one 256×64×32 GEMM.
+    assert_serial_work("Linear GEMM", 256 * 64 * 32);
 
     // Warm up the layer's scratch matrices and the thread-local GEMM
     // packing workspace — steady state is what training epochs live in.
@@ -154,14 +191,14 @@ fn linear_training_batches_reuse_scratch_with_bounded_allocations() {
         drop((y, gx));
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let batches = 20;
     for _ in 0..batches {
         let y = layer.forward(&x, Mode::Train);
         let gx = layer.backward(&g);
         drop((y, gx));
     }
-    let per_batch = (ALLOCS.load(Ordering::Relaxed) - before).div_ceil(batches);
+    let per_batch = (allocs() - before).div_ceil(batches);
 
     // Expected steady state: three allocations — the returned forward
     // output, the bias-grad sum_rows temporary, and the returned input
@@ -183,7 +220,7 @@ fn sign_forward_into_train_step_reuses_buffers() {
     use ppgnn_nn::Mode;
     use ppgnn_tensor::Matrix;
 
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(17)
@@ -198,6 +235,8 @@ fn sign_forward_into_train_step_reuses_buffers() {
         .collect();
     let g = Matrix::from_fn(128, 4, |r, c| ((r * 5 + c * 11) % 23) as f32 * 0.01 - 0.1);
     let mut logits = Matrix::default();
+    // Every GEMM multiplies the 128 batch rows by at most all weights.
+    assert_serial_work("Sign GEMM", 128 * model.num_params());
 
     // Warm up every slot: model scratch, training caches (handed back by
     // backward), and the thread-local GEMM packing workspace.
@@ -207,17 +246,17 @@ fn sign_forward_into_train_step_reuses_buffers() {
         model.backward(&g);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let batches = 20;
     let mut fwd_allocs = 0usize;
     for _ in 0..batches {
-        let t0 = ALLOCS.load(Ordering::Relaxed);
+        let t0 = allocs();
         model.forward_into(&hops, Mode::Train, &mut logits);
-        fwd_allocs += ALLOCS.load(Ordering::Relaxed) - t0;
+        fwd_allocs += allocs() - t0;
         model.zero_grad();
         model.backward(&g);
     }
-    let per_batch = (ALLOCS.load(Ordering::Relaxed) - before).div_ceil(batches);
+    let per_batch = (allocs() - before).div_ceil(batches);
 
     // `forward_into` itself is allocation-free in steady state: slots are
     // resized in place and training caches ping-pong back from backward.
@@ -238,11 +277,11 @@ fn sign_forward_into_train_step_reuses_buffers() {
     for _ in 0..3 {
         model.forward_into(&hops, Mode::Eval, &mut logits);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..batches {
         model.forward_into(&hops, Mode::Eval, &mut logits);
     }
-    let eval_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let eval_allocs = allocs() - before;
     assert_eq!(
         eval_allocs, 0,
         "eval forward_into allocated {eval_allocs} times over {batches} batches; \
@@ -255,10 +294,12 @@ fn compressed_store_reads_are_allocation_free_once_warm() {
     use ppgnn_dataio::{AccessPath, FeatureStoreWriter, StoreDtype, StoreMeta};
     use ppgnn_tensor::Matrix;
 
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let dir = std::env::temp_dir().join(format!("ppgnn-resid-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
+    // Decoding the whole store is the most any read here touches.
+    assert_serial_work("store decode", 3 * 64 * 24);
     for dtype in StoreDtype::ALL {
         let sub = dir.join(dtype.name());
         let meta = StoreMeta {
@@ -295,7 +336,7 @@ fn compressed_store_reads_are_allocation_free_once_warm() {
 
         // Steady state: encoded bytes stage into reused scratch and decode
         // in place — the compressed paths may not allocate at all.
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for round in 0..10 {
             store
                 .read_chunk_into(round % 3, round % 4, AccessPath::Direct, &mut chunk_slot)
@@ -312,7 +353,7 @@ fn compressed_store_reads_are_allocation_free_once_warm() {
                 .read_chunk_all_hops_into(round % 4, AccessPath::Direct, &mut hop_slots)
                 .unwrap();
         }
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let allocs = allocs() - before;
         assert_eq!(
             allocs, 0,
             "{dtype} steady-state reads allocated {allocs} times; \
@@ -333,7 +374,7 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
     static PROBE_HIST: ppgnn_telemetry::Histogram =
         ppgnn_telemetry::Histogram::new("test.probe_ns");
 
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // The PPGNN_TRACE=0 contract: every instrumentation site the pipeline
     // hot paths pass through — span guards in SpMM/preprocess/trainer,
     // counter adds in GEMM dispatch, histogram records per batch — must
@@ -360,6 +401,8 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
         })
         .collect();
     let mut logits = Matrix::default();
+    assert_serial_work("SpMM", op.nnz() * x.cols());
+    assert_serial_work("Sign GEMM", 128 * model.num_params());
 
     // Warm every scratch slot first — steady state is what epochs live in.
     for _ in 0..3 {
@@ -367,7 +410,7 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
         model.forward_into(&hops, Mode::Eval, &mut logits);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for round in 0..10u64 {
         // Raw instrumentation primitives, as the hot loops call them.
         let _span = ppgnn_telemetry::span("resid");
@@ -379,7 +422,7 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
         op.spmm_into(&x, &mut y);
         model.forward_into(&hops, Mode::Eval, &mut logits);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     assert_eq!(
         allocs, 0,
         "disabled-telemetry hot paths allocated {allocs} times over 10 rounds; \
@@ -394,7 +437,7 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
 fn streaming_run_matches_reference_chain_under_tracking() {
     // The allocator is process-global, so also pin correctness here: hop r
     // equals r explicit applications of the operator.
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3)
         .expect("generation succeeds");
     let out = Preprocessor::new(vec![Operator::SymNorm], 2).run(&data);
